@@ -509,12 +509,14 @@ def render(e: ScalarExpr) -> str:
         return f"exp({render(mul(Const(e.rate), e.child))})"
     if isinstance(e, Ln):
         return f"ln({render(e.child)})"
+    # The sigmoid forms keep every exp() argument at most 709, so neither
+    # overflows in any SQL engine (exp(709) is below the largest double).
     if isinstance(e, Sigmoid):
-        u = render(mul(Const(e.alpha), e.child))
-        return f"(exp({u}) / (exp({u}) + 1.0))"
+        un = render(mul(Const(-e.alpha), e.child))
+        return f"(1.0 / (exp(least({un}, 709.0)) + 1.0))"
     if isinstance(e, SigmoidDeriv):
-        u = render(mul(Const(e.alpha), e.child))
-        return f"(({_fmt(e.alpha)} * exp({u})) / ((exp({u}) + 1.0) ^ 2.0))"
+        z = f"exp(-abs({render(mul(Const(e.alpha), e.child))}))"
+        return f"(({_fmt(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
     if isinstance(e, Tauoid):
         u = render(mul(Const(e.alpha), e.child))
         un = render(mul(Const(-e.alpha), e.child))

@@ -1,7 +1,7 @@
 """Deterministic TPC-H-like micro data for hermetic benchmarks and fixtures.
 
-Generates a small lineitem/orders/part database (seeded, at most a few
-thousand rows) together with a schema file carrying per-table norms, so the
+Generates a lineitem/orders/part database (seeded, of any number of
+lineitem rows) together with a schema file carrying per-table norms, so the
 whole pipeline can run without an external data generator or database.
 """
 

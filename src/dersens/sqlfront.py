@@ -891,6 +891,7 @@ def _load_mask(data_dir: str, tname: str, ids: list[str]) -> list[bool]:
     path = os.path.join(data_dir, f"{tname}_sensRows.csv")
     if not os.path.exists(path):
         raise SchemaError(f"missing sensitive-rows file {path}")
+    known = set(ids)
     flags: dict[str, bool] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -900,12 +901,16 @@ def _load_mask(data_dir: str, tname: str, ids: list[str]) -> list[bool]:
         for rec in reader:
             if not rec:
                 continue
-            if rec[0] not in set(ids):
+            if rec[0] not in known:
                 raise SchemaError(f"{path}: sensRows ID '{rec[0]}' not present in {tname}.csv")
             if rec[1] not in ("0", "1"):
                 raise SchemaError(f"{path}: sensitive flag must be 0 or 1, got '{rec[1]}'")
             flags[rec[0]] = rec[1] == "1"
-    return [flags.get(i, False) for i in ids]
+    # an ID without a flag is ambiguous; treating it as public would leak it
+    missing = next((i for i in ids if i not in flags), None)
+    if missing is not None:
+        raise SchemaError(f"{path}: no sensitive flag for ID '{missing}' of {tname}.csv")
+    return [flags[i] for i in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -1,1 +1,1 @@
-SELECT sum(abs((exp((0.1 * (200.3 + ((-1.0) * lineitem.l_shipdateG)))) / (exp((0.1 * (200.3 + ((-1.0) * lineitem.l_shipdateG)))) + 1.0)))) FROM lineitem WHERE (lineitem.l_linestatus = 'F') AND (lineitem.l_returnflag = 'R');
+SELECT sum((1.0 / (exp(least(((-0.1) * (200.3 + ((-1.0) * lineitem.l_shipdateG))), 709.0)) + 1.0))) FROM lineitem WHERE (lineitem.l_returnflag = 'R') AND (lineitem.l_linestatus = 'F');

@@ -171,6 +171,21 @@ def test_bench_small(capsys, tmp_path):
     assert report["rel_error"] is not None
 
 
+def test_bench_takes_more_than_5000_rows(capsys, tmp_path):
+    code = main(["bench", "--rows", "6000", "--alpha", "0.1", "--json",
+                 "--data", str(tmp_path / "bench")])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rows"] == 6000
+    with open(tmp_path / "bench" / "lineitem.csv") as fh:
+        assert sum(1 for _ in fh) == 6001
+
+
+def test_bench_rejects_non_positive_rows(capsys, tmp_path):
+    assert main(["bench", "--rows", "0", "--data", str(tmp_path / "bench")]) == 1
+    assert "--rows" in capsys.readouterr().err
+
+
 def test_privatize_zero_sensitivity_is_exact(tmp_path, capsys):
     write_table(str(tmp_path), "t", ["a", "s"], [[1, "x"], [4, "x"]])
     schema = _write(tmp_path / "schema.txt", "table t\ncol a int\ncol s text\n")

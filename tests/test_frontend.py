@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -256,6 +257,24 @@ def test_load_dangling_sens_id(tmp_path):
         fh.write("ID,sensitive\n99,1\n")
     with pytest.raises(SchemaError, match="99"):
         load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+
+
+def test_load_rejects_id_missing_from_sens_rows(tmp_path):
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS,
+                [lineitem_row(), lineitem_row(), lineitem_row()])
+    with open(tmp_path / "lineitem_sensRows.csv", "w") as fh:
+        fh.write("ID,sensitive\n1,0\n")
+    with pytest.raises(SchemaError, match="ID '2'"):
+        load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+
+
+def test_load_is_linear_in_rows(tmp_path):
+    rows = [lineitem_row(qty=i % 50, sd=float(i % 300)) for i in range(20_000)]
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS, rows)
+    t0 = time.perf_counter()
+    db = load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+    assert time.perf_counter() - t0 < 5.0
+    assert len(db.tables["lineitem"].ids) == 20_000
 
 
 def test_load_missing_file(tmp_path):

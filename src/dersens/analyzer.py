@@ -509,22 +509,23 @@ def render(e: ScalarExpr) -> str:
         return f"exp({render(mul(Const(e.rate), e.child))})"
     if isinstance(e, Ln):
         return f"ln({render(e.child)})"
-    # The sigmoid forms keep every exp() argument at most 709, so neither
-    # overflows in any SQL engine (exp(709) is below the largest double).
+    # The sigmoid and tauoid forms keep every exp() argument at most 709, so
+    # none overflows in any SQL engine (exp(709) is below the largest double).
     if isinstance(e, Sigmoid):
         un = render(mul(Const(-e.alpha), e.child))
         return f"(1.0 / (exp(least({un}, 709.0)) + 1.0))"
     if isinstance(e, SigmoidDeriv):
         z = f"exp(-abs({render(mul(Const(e.alpha), e.child))}))"
         return f"(({_fmt(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
-    if isinstance(e, Tauoid):
+    if isinstance(e, (Tauoid, TauoidDeriv)):
+        # z = exp(-|u|) in (0, 1], as in exprs._tauoid and _tauoid_deriv
         u = render(mul(Const(e.alpha), e.child))
-        un = render(mul(Const(-e.alpha), e.child))
-        return f"(2.0 / (exp({un}) + exp({u})))"
-    if isinstance(e, TauoidDeriv):
-        u = render(mul(Const(e.alpha), e.child))
-        un = render(mul(Const(-e.alpha), e.child))
-        return f"(({_fmt(2.0 * e.alpha)} * (exp({un}) - exp({u}))) / ((exp({un}) + exp({u})) ^ 2.0))"
+        z = f"exp(-abs({u}))"
+        z2 = f"({z} ^ 2.0)"
+        if isinstance(e, Tauoid):
+            return f"((2.0 * {z}) / (1.0 + {z2}))"
+        a2 = f"case when ({u} >= 0.0) then {_fmt(-2.0 * e.alpha)} else {_fmt(2.0 * e.alpha)} end"
+        return f"((({a2}) * {z} * (1.0 - {z2})) / ((1.0 + {z2}) ^ 2.0))"
     if isinstance(e, Min):
         return "least(" + ", ".join(render(c) for c in e.children) + ")"
     if isinstance(e, Max):

@@ -2,12 +2,12 @@
 plans; replaces a live database for hermetic runs.
 
 Evaluation is columnar, after the vectorized execution of MonetDB/X100
-(Boncz et al., CIDR 2005).  `public_rows` loads the columns a query reads
-into numpy arrays, applies single-table conjuncts as boolean masks, runs
-`a.x = b.y` conjuncts as sort-based equi-joins and the other cross-table
-conjuncts as masks on the joined rows (a cross product is formed and
-filtered a block at a time), and returns the join as per-alias row numbers
-in nested-loop order (first table slowest).  Each ScalarExpr is
+(Boncz et al., CIDR 2005).  `public_rows` binds the loaded column arrays a
+query reads without copying them, applies single-table conjuncts as boolean
+masks, runs `a.x = b.y` conjuncts as sort-based equi-joins and the other
+cross-table conjuncts as masks on the joined rows (a cross product is formed
+and filtered a block at a time), and returns the join as per-alias row
+numbers in nested-loop order (first table slowest).  Each ScalarExpr is
 compiled once into numpy closures; structurally equal subtrees share one
 closure and one value per row set.  Under IfGE, IfNonzero and CASE each
 branch is evaluated only on the rows that take it, so domain errors are
@@ -55,6 +55,7 @@ from dersens.exprs import (
     Sum,
     Tauoid,
     TauoidDeriv,
+    checked_fsum,
     eval_scalar,  # re-exported: the row-at-a-time oracle of the compiled path
 )
 from dersens.norms import INF
@@ -294,22 +295,17 @@ class Relation:
 
 def _load(ctx: AnalysisContext, db: Database) -> dict[str, dict[str, np.ndarray]]:
     """Per alias: the ID and sensitivity arrays and the columns the query
-    reads, copied out of the row dicts now (callers may edit them later)."""
+    reads, bound by reference (the loaded arrays are read-only)."""
     q = ctx.query
     read = {(r.table, r.column) for part in (q.select, q.where) if part is not None
             for r in sf._walk_refs(part)}
     tables: dict[str, dict[str, np.ndarray]] = {}
     for table, alias in q.tables:
         td = db.table(table)
-        ts = ctx.schema.table(table)
-        cols = {
-            f"{alias}.ID": np.array(td.ids, dtype=object),
-            f"{alias}.__sens__": np.array(td.sensitive, dtype=bool),
-        }
+        cols = {f"{alias}.ID": td.ids, f"{alias}.__sens__": td.sensitive}
         for a, c in read:
             if a == alias and c in td.columns:
-                kind = object if ts.column_type(c) == "text" else float
-                cols[f"{alias}.{c}"] = np.array([row[c] for row in td.rows], dtype=kind)
+                cols[f"{alias}.{c}"] = td.columns[c]
         tables[alias] = cols
     return tables
 
@@ -566,12 +562,15 @@ Compiled = Callable[[_Frame], np.ndarray]
 
 
 def _row_fsum(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-row `math.fsum` of the parts (exact for two parts)."""
+    """Per-row `checked_fsum` of the parts: EvalError where a sum of finite
+    parts overflows or inf meets -inf."""
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
-        return parts[0] + parts[1]
-    return _elementwise(lambda *v: math.fsum(v), *parts)
+        out = parts[0] + parts[1]  # exact rounding, as fsum of two
+        if np.isfinite(out).all():
+            return out
+    return _elementwise(lambda *v: checked_fsum(v), *parts)
 
 
 class _Compiler:
@@ -729,7 +728,7 @@ def _check_finite(value: float, what: str) -> float:
 
 def _aggregate(agg: str, vals: np.ndarray) -> float:
     if agg in ("SUM", "COUNT"):
-        return _check_finite(math.fsum(vals.tolist()), agg)
+        return _check_finite(checked_fsum(vals.tolist()), agg)
     if agg == "PRODUCT":
         return _check_finite(math.prod(vals.tolist()), "PRODUCT")
     if not len(vals):
@@ -853,14 +852,11 @@ _AGG_FUNCS = ("sum", "count", "min", "max", "avg")
 
 
 def _table_envs(db: Database, table: str, alias: str) -> list[Env]:
+    """One env per row, holding Python floats and strs (not numpy scalars)."""
     td = db.table(table)
-    out = []
-    for i, row in enumerate(td.rows):
-        env: Env = {f"{alias}.{c}": v for c, v in row.items()}
-        env[f"{alias}.ID"] = td.ids[i]
-        env[f"{alias}.__sens__"] = td.sensitive[i]
-        out.append(env)
-    return out
+    names = [f"{alias}.{c}" for c in td.columns] + [f"{alias}.ID", f"{alias}.__sens__"]
+    values = [a.tolist() for a in (*td.columns.values(), td.ids, td.sensitive)]
+    return [dict(zip(names, row)) for row in zip(*values)]
 
 
 def _emitted_source_rows(es: EmittedSelect, db: Database, subcache: dict) -> list[Env]:
@@ -874,8 +870,8 @@ def _emitted_source_rows(es: EmittedSelect, db: Database, subcache: dict) -> lis
             base = table[: -len("_sensRows")]
             td = db.table(base)
             envs = [
-                {f"{alias}.ID": td.ids[i], f"{alias}.sensitive": td.sensitive[i]}
-                for i in range(len(td.ids))
+                {f"{alias}.ID": i, f"{alias}.sensitive": s}
+                for i, s in zip(td.ids.tolist(), td.sensitive.tolist())
             ]
         else:
             envs = _table_envs(db, table, alias)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from dersens.norms import INF, Combine, NormExpr, Scale, Var
 
@@ -49,6 +49,7 @@ __all__ = [
     "abs_expr",
     "add",
     "analyze",
+    "checked_fsum",
     "combine_ds",
     "ds_expr",
     "dual_exponent",
@@ -336,6 +337,16 @@ def _tauoid_deriv(a: float, x: float) -> float:
     return -mag if t >= 0.0 else mag
 
 
+def checked_fsum(values: Iterable[float]) -> float:
+    """`math.fsum`, raising EvalError where the sum of finite values
+    overflows or inf meets -inf."""
+    vals = list(values)
+    try:
+        return math.fsum(vals)
+    except (OverflowError, ValueError) as exc:
+        raise EvalError(f"sum of {len(vals)} terms: {exc}") from None
+
+
 def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
     """IEEE double evaluation of the expression at one row binding."""
     if isinstance(e, Const):
@@ -359,7 +370,11 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(str(exc)) from None
     if isinstance(e, Exp):
-        return math.exp(e.rate * eval_scalar(e.child, row))
+        x = e.rate * eval_scalar(e.child, row)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvalError(f"exp overflows at {x}") from None
     if isinstance(e, Ln):
         v = eval_scalar(e.child, row)
         if v <= 0.0:
@@ -374,7 +389,7 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
     if isinstance(e, TauoidDeriv):
         return _tauoid_deriv(e.alpha, eval_scalar(e.child, row))
     if isinstance(e, Sum):
-        return math.fsum(eval_scalar(c, row) for c in e.children)
+        return checked_fsum([eval_scalar(c, row) for c in e.children])
     if isinstance(e, Prod):
         out = 1.0
         for c in e.children:
@@ -389,8 +404,12 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
         if e.p == INF:
             return max(vals)
         if e.p == 1.0:
-            return math.fsum(vals)
-        return math.fsum(v**e.p for v in vals) ** (1.0 / e.p)
+            return checked_fsum(vals)
+        try:
+            powers = [v**e.p for v in vals]
+        except OverflowError:
+            raise EvalError(f"{e.p} power of a value in {min(vals)}..{max(vals)} overflows") from None
+        return checked_fsum(powers) ** (1.0 / e.p)
     if isinstance(e, ScaleNorm):
         return eval_scalar(e.child, row)
     if isinstance(e, Div):

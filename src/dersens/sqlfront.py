@@ -12,10 +12,15 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from dersens.norms import NormExpr, NormError, norm_vars, parse_norm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoolOp",
@@ -817,11 +822,14 @@ def date_to_months(value: str) -> float:
 
 @dataclass
 class TableData:
+    """A loaded table, in file order: one read-only array per schema column
+    (float, or object arrays of str for text columns), the row IDs (object
+    array of str) and the boolean sensitivity flags."""
+
     name: str
-    columns: list[str]
-    rows: list[dict[str, float | str]]
-    ids: list[str]
-    sensitive: list[bool]
+    columns: dict[str, np.ndarray]
+    ids: np.ndarray
+    sensitive: np.ndarray
 
 
 @dataclass
@@ -835,21 +843,64 @@ class Database:
             raise SchemaError(f"no data loaded for table '{name}'") from None
 
 
-def _convert(value: str, ty: str, table: str, col: str) -> float | str:
-    if ty == "text":
-        return value
+def _convert(value: str, ty: str, table: str, col: str) -> float:
+    """One numeric cell; ISO dates are read in date-months columns."""
     try:
         if ty == "int":
             return float(int(value))
         if ty == "real":
             return float(value)
-        # date-months: ISO dates converted, plain numbers passed through
         try:
             return float(value)
         except ValueError:
             return date_to_months(value)
-    except (ValueError, SchemaError) as exc:
+    except (ValueError, OverflowError, SchemaError) as exc:
         raise SchemaError(f"{table}.{col}: cannot read '{value}' as {ty}: {exc}") from None
+
+
+def _frozen(values: Iterable, dtype: type, n: int) -> np.ndarray:
+    """The `n` values as a read-only array."""
+    # numpy is imported here, not with the module: importing it before the
+    # rest of the package is compiled raises the peak RSS of a process that
+    # compiles from source by about 2.7 MB
+    import numpy as np
+
+    out = np.fromiter(values, dtype=dtype, count=n)
+    out.flags.writeable = False
+    return out
+
+
+# Records are moved into the columns this many at a time.  A block's record
+# lists then die before the cyclic collector's youngest generation (700
+# allocations) fills, so the collector never walks a whole table of them.
+_BLOCK_ROWS = 512
+
+
+def _read_cells(reader: Iterator[list[str]], path: str, width: int) -> list[list[str]]:
+    """The remaining records of `reader` as one list of cells per field;
+    blank records are skipped."""
+    columns: list[list[str]] = [[] for _ in range(width)]
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        block = [rec for rec in block if rec]
+        if set(map(len, block)) - {width}:
+            bad = next(rec for rec in block if len(rec) != width)
+            raise SchemaError(f"{path}: row width mismatch: {bad} has {len(bad)} fields, "
+                              f"the header {width}")
+        for column, cells in zip(columns, zip(*block)):
+            column.extend(cells)
+    return columns
+
+
+def _read_column(cells: list[str], ty: str, table: str, col: str) -> np.ndarray:
+    """A column's cells as a read-only array.  Numeric columns map a builtin
+    over the whole column; only a column where that raises (ISO dates, or a
+    bad cell to report) is read again cell by cell."""
+    if ty == "text":
+        return _frozen(cells, object, len(cells))
+    try:
+        return _frozen(map(float, map(int, cells) if ty == "int" else cells), float, len(cells))
+    except (ValueError, OverflowError):
+        return _frozen((_convert(v, ty, table, col) for v in cells), float, len(cells))
 
 
 def load_database(data_dir: str, schema: Schema) -> Database:
@@ -869,48 +920,42 @@ def load_database(data_dir: str, schema: Schema) -> Database:
                 raise SchemaError(
                     f"{path}: columns {header[1:]} do not match schema {declared}"
                 )
-            types = dict(ts.columns)
-            rows, ids = [], []
-            for rec in reader:
-                if not rec:
-                    continue
-                if len(rec) != len(header):
-                    raise SchemaError(f"{path}: row width mismatch: {rec}")
-                ids.append(rec[0])
-                rows.append(
-                    {c: _convert(v, types[c], tname, c) for c, v in zip(header[1:], rec[1:])}
-                )
-        if len(set(ids)) != len(ids):
+            ids, *cells = _read_cells(reader, path, len(header))
+        columns = {c: _read_column(v, ty, tname, c) for (c, ty), v in zip(ts.columns, cells)}
+        known = set(ids)
+        if len(known) != len(ids):
             raise SchemaError(f"{path}: duplicate row IDs")
-        mask = _load_mask(data_dir, tname, ids)
-        tables[tname] = TableData(tname, [c for c, _ in ts.columns], rows, ids, mask)
+        mask = _load_mask(data_dir, tname, ids, known)
+        tables[tname] = TableData(tname, columns, _frozen(ids, object, len(ids)), mask)
     return Database(tables)
 
 
-def _load_mask(data_dir: str, tname: str, ids: list[str]) -> list[bool]:
+def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np.ndarray:
+    """The sensitivity flag of each row of the table, in its row order."""
     path = os.path.join(data_dir, f"{tname}_sensRows.csv")
     if not os.path.exists(path):
         raise SchemaError(f"missing sensitive-rows file {path}")
-    known = set(ids)
-    flags: dict[str, bool] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["ID", "sensitive"]:
+        if next(reader, None) != ["ID", "sensitive"]:
             raise SchemaError(f"{path}: header must be ID,sensitive")
-        for rec in reader:
-            if not rec:
-                continue
-            if rec[0] not in known:
-                raise SchemaError(f"{path}: sensRows ID '{rec[0]}' not present in {tname}.csv")
-            if rec[1] not in ("0", "1"):
-                raise SchemaError(f"{path}: sensitive flag must be 0 or 1, got '{rec[1]}'")
-            flags[rec[0]] = rec[1] == "1"
+        listed, flags = _read_cells(reader, path, 2)
+    if not known.issuperset(listed):
+        bad = next(i for i in listed if i not in known)
+        raise SchemaError(f"{path}: sensRows ID '{bad}' not present in {tname}.csv")
+    if not {"0", "1"}.issuperset(flags):
+        bad = next(f for f in flags if f not in ("0", "1"))
+        raise SchemaError(f"{path}: sensitive flag must be 0 or 1, got '{bad}'")
+    flag_of = dict(zip(listed, flags))
+    if len(flag_of) != len(listed):
+        counts = Counter(listed)
+        bad = next(i for i in listed if counts[i] > 1)
+        raise SchemaError(f"{path}: sensRows ID '{bad}' is listed twice")
     # an ID without a flag is ambiguous; treating it as public would leak it
-    missing = next((i for i in ids if i not in flags), None)
-    if missing is not None:
+    if len(flag_of) != len(known):
+        missing = next(i for i in ids if i not in flag_of)
         raise SchemaError(f"{path}: no sensitive flag for ID '{missing}' of {tname}.csv")
-    return [flags[i] for i in ids]
+    return _frozen(map("1".__eq__, map(flag_of.__getitem__, ids)), bool, len(ids))
 
 
 # ---------------------------------------------------------------------------

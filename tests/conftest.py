@@ -4,6 +4,7 @@ comparator for emitted SQL (whitespace, operator order, abs() wrappers and
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -128,6 +129,19 @@ def lineitem_row(qty=10.0, ep=1000.0, disc=0.05, tax=0.02, rf="R", ls="F",
     cd = sd + 1.0 if cd is None else cd
     rd = sd + 2.0 if rd is None else rd
     return [qty, ep, disc, tax, rf, ls, sd, cd, rd]
+
+
+def with_cells(db: sf.Database, table: str, row: int, values: dict) -> sf.Database:
+    """A copy of `db` whose `table` holds `values` (column -> value) in row
+    number `row`.  Loaded columns are read-only, so edited ones are copied."""
+    td = db.tables[table]
+    columns = dict(td.columns)
+    for col, value in values.items():
+        arr = columns[col].copy()
+        arr[row] = value
+        arr.flags.writeable = False
+        columns[col] = arr
+    return sf.Database({**db.tables, table: dataclasses.replace(td, columns=columns)})
 
 
 @pytest.fixture()

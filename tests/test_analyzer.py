@@ -1,4 +1,3 @@
-import copy
 import math
 import os
 import random
@@ -15,6 +14,7 @@ from conftest import (
     TPCH_MINI_SCHEMA,
     assert_sql_equivalent,
     lineitem_row,
+    with_cells,
     write_table,
 )
 from dersens import analyzer as an
@@ -323,11 +323,8 @@ def test_integer_lowering_exactness_20_fixtures(tmp_path):
 
 
 def _perturb(db, table, row_idx, deltas):
-    out = copy.deepcopy(db)
-    row = out.tables[table].rows[row_idx]
-    for col, dv in deltas.items():
-        row[col] += dv
-    return out
+    cols = db.tables[table].columns
+    return with_cells(db, table, row_idx, {c: cols[c][row_idx] + dv for c, dv in deltas.items()})
 
 
 SENS_COLS = ["l_quantity", "l_extendedprice", "l_discount",

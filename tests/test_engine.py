@@ -1,15 +1,27 @@
+import dataclasses
+import math
+import os
+import sqlite3
+
+import numpy as np
 import pytest
 
 from conftest import (
     B1_1_SQL,
+    B16_SQL,
+    GOLDEN_DIR,
     LINEITEM_COLS,
     LINEITEM_SCHEMA,
+    TPCH_MINI_SCHEMA,
     lineitem_row,
+    with_cells,
     write_table,
 )
 from dersens import engine as eng
 from dersens import sqlfront as sf
-from dersens.analyzer import PlanParams, build_plan, emit_sql
+from dersens.analyzer import PlanParams, build_plan, emit_sql, render
+from dersens.cli import main as cli_main
+from dersens.exprs import Col, EvalError, Sum, Tauoid, TauoidDeriv, eval_scalar
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
 
 PARAMS = PlanParams(beta=0.1, alpha=0.1)
@@ -121,7 +133,7 @@ def test_empty_table_neutral_elements(tmp_path):
 def test_deep_row_sensitivity_is_one(lineitem_db):
     db, schema = lineitem_db
     # push the deep row further in so its indicator saturates to 1e-7
-    db.tables["lineitem"].rows[0]["l_shipdateG"] = 40.0
+    db = with_cells(db, "lineitem", 0, {"l_shipdateG": 40.0})
     ctx = _ctx(B1_1_SQL, schema)
     plan = build_plan(ctx, PARAMS)
     sens, _ = eng.run_sensitivity(plan, db)
@@ -168,6 +180,16 @@ def test_determinism_bit_identical(lineitem_db):
     a = (eng.run_modified(plan, db), eng.run_sensitivity(plan, db)[0])
     b = (eng.run_modified(plan, db), eng.run_sensitivity(plan, db)[0])
     assert a == b
+
+
+def test_table_envs_hold_python_values(lineitem_db):
+    db, _ = lineitem_db
+    envs = eng._table_envs(db, "lineitem", "l")
+    td = db.tables["lineitem"]
+    assert len(envs) == len(td.ids)
+    assert envs[1]["l.l_quantity"] == 36.0 and envs[1]["l.l_returnflag"] == "R"
+    assert [e["l.__sens__"] for e in envs] == [True, True, True, False]
+    assert {type(v) for e in envs for v in e.values()} == {float, str, bool}
 
 
 def test_cross_product_cardinality(tmp_path):
@@ -234,3 +256,124 @@ def test_database_combiner_across_tables(tmp_path):
         _, sens_sql = emit_sql(plan)
         rt = eng.evaluate_emitted(sf.parse_emitted(sens_sql), db)
         assert rt == pytest.approx(vals[tag], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# emitted SQL on sqlite3, far outside the range of exp
+# ---------------------------------------------------------------------------
+
+
+def _sqlite_dialect(node):
+    """A parsed emitted statement in sqlite's dialect: `^` -> pow,
+    greatest/least -> max/min."""
+    if isinstance(node, tuple):
+        return tuple(_sqlite_dialect(n) for n in node)
+    if not dataclasses.is_dataclass(node):
+        return node
+    if isinstance(node, sf.BinOp) and node.op == "^":
+        return sf.FuncCall("pow", (_sqlite_dialect(node.lhs), _sqlite_dialect(node.rhs)))
+    if isinstance(node, sf.FuncCall) and node.name in ("greatest", "least"):
+        return sf.FuncCall("max" if node.name == "greatest" else "min", _sqlite_dialect(node.args))
+    return dataclasses.replace(node, **{
+        f.name: _sqlite_dialect(getattr(node, f.name)) for f in dataclasses.fields(node)
+    })
+
+
+def _strict_sqlite(db=None) -> sqlite3.Connection:
+    """An in-memory sqlite3 holding `db`.  exp, ln and pow are Python's
+    math functions, which raise on overflow as PostgreSQL does; sqlite's
+    own would return inf or NULL."""
+    con = sqlite3.connect(":memory:")
+    con.create_function("exp", 1, math.exp, deterministic=True)
+    con.create_function("ln", 1, math.log, deterministic=True)
+    con.create_function("pow", 2, math.pow, deterministic=True)
+    for name, td in (db.tables.items() if db is not None else ()):
+        decl = ", ".join(f"{c} {'TEXT' if a.dtype == object else 'REAL'}"
+                         for c, a in td.columns.items())
+        con.execute(f"CREATE TABLE {name} (ID TEXT, {decl})")
+        rows = zip(td.ids.tolist(), *(a.tolist() for a in td.columns.values()))
+        con.executemany(f"INSERT INTO {name} VALUES ({', '.join('?' * (len(td.columns) + 1))})", rows)
+        con.execute(f"CREATE TABLE {name}_sensRows (ID TEXT, sensitive INTEGER)")
+        con.executemany(f"INSERT INTO {name}_sensRows VALUES (?, ?)",
+                        zip(td.ids.tolist(), td.sensitive.tolist()))
+    return con
+
+
+def _sqlite_value(con: sqlite3.Connection, sql: str) -> float:
+    stmt = sf.print_expr(sf.SubQuery(_sqlite_dialect(sf.parse_emitted(sql))))[1:-1]
+    ((value,),) = con.execute(stmt).fetchall()
+    return value
+
+
+def test_b16_tauoid_sql_agrees_far_from_the_in_list(tmp_path):
+    # alpha = 0.1, so p_size = +-20000 puts |u| near 2000 and 7300 near 726
+    d = str(tmp_path)
+    write_table(d, "lineitem", LINEITEM_COLS, [])
+    part = [[k, size, 900.0 + k, brand, "LARGE ANODIZED TIN", "SM BOX"]
+            for k, size, brand in [(1, 10, "Brand#14"), (2, 12, "Brand#14"),
+                                   (3, 20000, "Brand#14"), (4, -20000, "Brand#14"),
+                                   (5, 7300, "Brand#14"), (6, 30, "Brand#34")]]
+    write_table(d, "part", ["p_partkey", "p_size", "p_retailprice", "p_brand", "p_type",
+                            "p_container"], part, [True, True, True, True, False, True])
+    write_table(d, "partsupp", ["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"],
+                [[k, s, 10 * k, 1.5] for k in range(1, 7) for s in (1, 2)])
+    write_table(d, "supplier", ["s_suppkey", "s_acctbal", "s_comment"],
+                [[1, 100.0, "fine"], [2, 50.0, "Customer said Complaints"]])
+    schema = parse_schema(TPCH_MINI_SCHEMA)
+    db = load_database(d, schema)
+    plan = build_plan(_ctx(B16_SQL, schema), PARAMS)
+    engine = {"modified": eng.run_modified(plan, db), "sensitivity": eng.run_sensitivity(plan, db)[0]}
+    con = _strict_sqlite(db)
+    for part_name, value in engine.items():
+        with open(os.path.join(GOLDEN_DIR, f"b16_{part_name}.sql")) as fh:
+            golden = fh.read()
+        assert eng.evaluate_emitted(sf.parse_emitted(golden), db) == pytest.approx(value, rel=1e-9)
+        assert _sqlite_value(con, golden) == pytest.approx(value, rel=1e-9)
+    assert engine["modified"] > 1.0  # rows 1 and 2 count, the far ones do not
+
+
+@pytest.mark.parametrize("node", [Tauoid, TauoidDeriv])
+def test_tauoid_forms_render_without_overflow(node):
+    e = node(5.0, Col("t.x"))
+    con = _strict_sqlite()
+    con.execute("CREATE TABLE t (x REAL)")
+    xs = [-1e4, -200.0, -141.0, -1.0, -0.0, 0.0, 0.3, 1.0, 141.0, 200.0, 1e4]
+    con.executemany("INSERT INTO t VALUES (?)", [(x,) for x in xs])
+    stmt = sf.print_expr(_sqlite_dialect(sf.parse_emitted(f"SELECT {render(e)} FROM t;").select))
+    got = [v for (v,) in con.execute(f"SELECT {stmt} FROM t").fetchall()]
+    want = [eval_scalar(e, {"t.x": x}) for x in xs]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+    interpreted = eng.evaluate_emitted(sf.parse_emitted(f"SELECT sum({render(e)}) FROM t;"), _one_column_db(xs))
+    assert interpreted == pytest.approx(math.fsum(want), rel=1e-12, abs=1e-300)
+
+
+def _one_column_db(xs):
+    col = np.array(xs)
+    col.flags.writeable = False
+    ids = np.array([str(i) for i in range(len(xs))], dtype=object)
+    return sf.Database({"t": sf.TableData("t", {"x": col}, ids, np.zeros(len(xs), dtype=bool))})
+
+
+# ---------------------------------------------------------------------------
+# overflow in sums
+# ---------------------------------------------------------------------------
+
+
+def test_compiled_sum_overflow_is_an_eval_error(tmp_path):
+    write_table(str(tmp_path), "t", ["a"], [[1e308], [1.0]])
+    schema = parse_schema("table t\ncol a real\nnorm lp 1.0 a\n")
+    db = load_database(str(tmp_path), schema)
+    rows = eng.public_rows(_ctx("SELECT sum(t.a) FROM t", schema), db)
+    for n in (2, 3):
+        with np.errstate(all="ignore"), pytest.raises(EvalError, match="overflow"):
+            eng._Compiler()(Sum((Col("t.a"),) * n))(eng._Frame(rows, {}))
+
+
+def test_initial_sum_overflow_is_reported_by_the_cli(tmp_path, capsys):
+    write_table(str(tmp_path), "t", ["a"], [[1e308], [1e308], [1e308]])
+    (tmp_path / "schema.txt").write_text("table t\ncol a real\nnorm lp 1.0 a\n")
+    (tmp_path / "q.sql").write_text("SELECT sum(t.a) FROM t")
+    rc = cli_main(["run", "--query", str(tmp_path / "q.sql"), "--schema",
+                   str(tmp_path / "schema.txt"), "--data", str(tmp_path)])
+    assert rc != 0
+    assert "overflow" in capsys.readouterr().err

@@ -62,6 +62,26 @@ def test_eval_domain_error():
         eval_scalar(Power(X, 0.5), {"x": -2.0})
 
 
+def test_eval_exp_overflow_is_an_eval_error():
+    with pytest.raises(EvalError, match="exp overflows"):
+        eval_scalar(Exp(1.0, X), {"x": 1000.0})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eval_sum_overflow_is_an_eval_error(n):
+    with pytest.raises(EvalError, match="overflow"):
+        eval_scalar(Sum((X,) * n), {"x": 1e308})
+    with pytest.raises(EvalError, match="overflow"):
+        eval_scalar(LpNorm(1.0, (X,) * n), {"x": 1e308})
+    with pytest.raises(EvalError, match="overflow"):
+        eval_scalar(LpNorm(2.0, (X,) * n), {"x": 1e200})
+
+
+def test_eval_sum_of_inf_and_minus_inf_is_an_eval_error():
+    with pytest.raises(EvalError, match="inf"):
+        eval_scalar(Sum((X, Y, Z)), {"x": INF, "y": -INF, "z": 1.0})
+
+
 def test_eval_sigmoid_extreme_is_stable():
     assert eval_scalar(Sigmoid(5.0, X), {"x": 1e6}) == 1.0
     assert eval_scalar(Sigmoid(5.0, X), {"x": -1e6}) == 0.0

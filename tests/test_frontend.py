@@ -1,7 +1,10 @@
+import csv
 import math
+import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import LINEITEM_SCHEMA, LINEITEM_COLS, lineitem_row, write_table
@@ -248,7 +251,7 @@ def test_load_mask_alignment(tmp_path):
                 [False, True, False])
     schema = parse_schema(LINEITEM_SCHEMA)
     db = load_database(str(tmp_path), schema)
-    assert db.tables["lineitem"].sensitive == [False, True, False]
+    assert db.tables["lineitem"].sensitive.tolist() == [False, True, False]
 
 
 def test_load_dangling_sens_id(tmp_path):
@@ -295,7 +298,152 @@ def test_load_converts_iso_dates(tmp_path):
     rows[0][6] = "1980-02-01"
     write_table(str(tmp_path), "lineitem", LINEITEM_COLS, rows)
     db = load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
-    assert db.tables["lineitem"].rows[0]["l_shipdateG"] == 1.0
+    assert db.tables["lineitem"].columns["l_shipdateG"][0] == 1.0
+
+
+def test_load_rejects_sens_id_listed_twice(tmp_path):
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS, [lineitem_row(), lineitem_row()])
+    with open(tmp_path / "lineitem_sensRows.csv", "w") as fh:
+        fh.write("ID,sensitive\n1,1\n2,0\n1,0\n")
+    with pytest.raises(SchemaError, match="ID '1' is listed twice"):
+        load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+
+
+@pytest.mark.parametrize("record,fields", [("1", 1), ("1,1,0", 3)])
+def test_load_rejects_sens_record_of_wrong_width(tmp_path, record, fields):
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS, [lineitem_row()])
+    with open(tmp_path / "lineitem_sensRows.csv", "w") as fh:
+        fh.write(f"ID,sensitive\n{record}\n")
+    with pytest.raises(SchemaError, match=f"row width mismatch: .* has {fields} fields, the header 2"):
+        load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+
+
+def test_load_rejects_sens_flag_other_than_0_or_1(tmp_path):
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS, [lineitem_row(), lineitem_row()])
+    with open(tmp_path / "lineitem_sensRows.csv", "w") as fh:
+        fh.write("ID,sensitive\n1,1\n2,yes\n")
+    with pytest.raises(SchemaError, match="must be 0 or 1, got 'yes'"):
+        load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+
+
+def _cell_by_cell(value: str, ty: str, table: str, col: str):
+    """Reference reading of one cell: each cell on its own, as the loader
+    once read every cell."""
+    if ty == "text":
+        return value
+    try:
+        if ty == "int":
+            return float(int(value))
+        if ty == "real":
+            return float(value)
+        try:
+            return float(value)
+        except ValueError:
+            return date_to_months(value)
+    except (ValueError, SchemaError) as exc:
+        raise SchemaError(f"{table}.{col}: cannot read '{value}' as {ty}: {exc}") from None
+
+
+_TRICKY_SCHEMA = """\
+table t
+col i int
+col r real
+col d date-months
+col n date-months
+col s text
+"""
+
+# one column per schema column; `d` mixes ISO dates with plain numbers
+_TRICKY = {
+    "i": [" 7", "+3", "1_000", "-0", "9007199254740993", "-12", "0"],
+    "r": ["1e308", "nan", " 7", "+3", "1_000", "-0", "9007199254740993"],
+    "d": ["12.5", "1980-02-01", "-0", "2020-12-31", " 7", "1e308", "1980-01-16"],
+    "n": ["-0", "1e-320", "+3", "1_000", "nan", "230.3", "9007199254740993"],
+    "s": ["a,b", " x ", 'say "hi"', "", "1e308", "-0", "c,d,e"],
+}
+
+
+def _write_tricky(dirpath, cells: dict[str, list[str]]) -> None:
+    n = len(next(iter(cells.values())))
+    with open(os.path.join(dirpath, "t.csv"), "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["ID", *cells])
+        out.writerows([str(k + 1), *(cells[c][k] for c in cells)] for k in range(n))
+    with open(os.path.join(dirpath, "t_sensRows.csv"), "w") as fh:
+        fh.write("ID,sensitive\n" + "".join(f"{k + 1},{k % 2}\n" for k in range(n)))
+
+
+def test_load_matches_cell_by_cell_reading_bit_for_bit(tmp_path):
+    _write_tricky(str(tmp_path), _TRICKY)
+    schema = parse_schema(_TRICKY_SCHEMA)
+    td = load_database(str(tmp_path), schema).tables["t"]
+    assert list(td.columns) == ["i", "r", "d", "n", "s"]
+    assert td.ids.tolist() == [str(k + 1) for k in range(7)]
+    assert td.sensitive.tolist() == [k % 2 == 1 for k in range(7)]
+    for col, ty in schema.tables["t"].columns:
+        got = td.columns[col].tolist()
+        want = [_cell_by_cell(v, ty, "t", col) for v in _TRICKY[col]]
+        if ty == "text":
+            assert td.columns[col].dtype == object
+            assert got == want and all(type(v) is str for v in got)
+        else:
+            assert td.columns[col].dtype == np.float64
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want], col
+
+
+@pytest.mark.parametrize("col,bad", [
+    ("i", "1.5"), ("i", "1e3"), ("i", ""), ("r", "abc"), ("r", ""),
+    ("d", "2020-13-01"), ("d", "2020-ab-01"), ("n", "12/05/2020"),
+])
+def test_load_names_the_bad_cell(tmp_path, col, bad):
+    cells = {c: list(v) for c, v in _TRICKY.items()}
+    cells[col][4] = bad
+    _write_tricky(str(tmp_path), cells)
+    ty = dict(parse_schema(_TRICKY_SCHEMA).tables["t"].columns)[col]
+    with pytest.raises(SchemaError) as err:
+        _cell_by_cell(bad, ty, "t", col)
+    with pytest.raises(SchemaError) as got:
+        load_database(str(tmp_path), parse_schema(_TRICKY_SCHEMA))
+    assert str(got.value) == str(err.value)
+    assert f"t.{col}: cannot read '{bad}'" in str(got.value)
+
+
+def test_load_names_an_int_cell_too_large_for_a_double(tmp_path):
+    cells = {c: list(v) for c, v in _TRICKY.items()}
+    cells["i"][2] = "1" + "0" * 400
+    _write_tricky(str(tmp_path), cells)
+    with pytest.raises(SchemaError, match="t.i: cannot read '10000"):
+        load_database(str(tmp_path), parse_schema(_TRICKY_SCHEMA))
+
+
+def test_load_reads_past_blank_records_in_long_files(tmp_path):
+    # longer than several read blocks, with more blank lines in a row than a block holds
+    lines = [f"{k},{k * 0.5}" for k in range(1, 1201)]
+    lines[700:700] = [""] * 1500
+    (tmp_path / "t.csv").write_text("ID,a\n" + "\n".join(lines) + "\n")
+    (tmp_path / "t_sensRows.csv").write_text(
+        "ID,sensitive\n" + "".join(f"{k},{k % 3 == 0:d}\n" for k in range(1200, 0, -1)))
+    td = load_database(str(tmp_path), parse_schema("table t\ncol a real\n")).tables["t"]
+    assert td.ids.tolist() == [str(k) for k in range(1, 1201)]
+    assert td.columns["a"].tolist() == [k * 0.5 for k in range(1, 1201)]
+    assert td.sensitive.tolist() == [k % 3 == 0 for k in range(1, 1201)]
+
+
+def test_loaded_arrays_are_read_only(tmp_path):
+    _write_tricky(str(tmp_path), _TRICKY)
+    td = load_database(str(tmp_path), parse_schema(_TRICKY_SCHEMA)).tables["t"]
+    for arr, value in [(td.columns["r"], 1.0), (td.columns["s"], "x"),
+                       (td.ids, "9"), (td.sensitive, True)]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = value
+
+
+def test_load_empty_table(tmp_path):
+    _write_tricky(str(tmp_path), {c: [] for c in _TRICKY})
+    td = load_database(str(tmp_path), parse_schema(_TRICKY_SCHEMA)).tables["t"]
+    assert len(td.ids) == len(td.sensitive) == 0
+    assert all(len(a) == 0 for a in td.columns.values())
+    assert td.columns["s"].dtype == object and td.columns["i"].dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

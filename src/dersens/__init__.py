@@ -13,7 +13,6 @@ from dersens.analyzer import (
     build_plan,
     emit_sql,
     lower_aggregation,
-    lower_predicate,
 )
 from dersens.engine import (
     EngineError,

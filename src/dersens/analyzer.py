@@ -84,7 +84,6 @@ __all__ = [
     "build_plan",
     "emit_sql",
     "lower_aggregation",
-    "lower_predicate",
     "render",
 ]
 
@@ -274,15 +273,6 @@ class _Lowerer:
 
 def _clamp01(e: ScalarExpr) -> ScalarExpr:
     return Min((ex.ONE, Max((ex.ZERO, e))))
-
-
-def lower_predicate(
-    pred: Pred, ctx: AnalysisContext, alpha: float, precise_ints: bool = False,
-    or_as_xor: bool = False,
-) -> ScalarExpr:
-    """Continuous [0,1] lowering of a predicate tree (module-level wrapper)."""
-    low = _Lowerer(ctx, PlanParams(alpha=alpha, precise_ints=precise_ints, or_as_xor=or_as_xor))
-    return low.lower_pred(pred)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 import tempfile
 
@@ -78,7 +79,8 @@ def _noise_params(args, plan) -> NoiseParams:
     return NoiseParams(args.epsilon, beta, args.gamma, b)
 
 
-def _seed(args) -> int:
+def _seed(args) -> int | None:
+    """--seed, else DERSENS_SEED, else None."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DERSENS_SEED")
@@ -87,7 +89,7 @@ def _seed(args) -> int:
             return int(env)
         except ValueError:
             raise CliError(f"DERSENS_SEED must be an integer, got '{env}'") from None
-    return 0
+    return None
 
 
 def cmd_analyze(args) -> int:
@@ -147,15 +149,18 @@ def _run_report(args, with_noise: bool) -> dict:
     if with_noise:
         params = _noise_params(args, plan)
         seed = _seed(args)
-        rel = privatize(modified, sens, params, seed)
+        # an unseeded release draws its seed from OS entropy and does not
+        # print it: with the seed a reader could recompute the noise
+        rel = privatize(modified, sens, params, secrets.randbits(128) if seed is None else seed)
         report.update({
             "noised": rel.noised,
             "epsilon": params.epsilon,
             "beta": params.beta,
             "gamma": params.gamma,
             "b": params.b,
-            "seed": seed,
         })
+        if seed is not None:
+            report["seed"] = seed
     return report
 
 
@@ -181,7 +186,8 @@ def cmd_bench(args) -> int:
     if args.rows < 1:
         raise CliError(f"--rows must be at least 1, got {args.rows}")
     data_dir = args.data or tempfile.mkdtemp(prefix="dersens_bench_")
-    bn.write_dataset(data_dir, rows=args.rows, seed=_seed(args))
+    seed = _seed(args)
+    bn.write_dataset(data_dir, rows=args.rows, seed=0 if seed is None else seed)
     query_path = os.path.join(data_dir, "b1_1.sql")
     with open(query_path, "w") as fh:
         fh.write(bn.B1_1_QUERY)
@@ -220,7 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xor", action="store_true",
                        help="lower OR as XOR (caller asserts mutual exclusion)")
         p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (falls back to DERSENS_SEED, then 0)")
+                       help="RNG seed (falls back to DERSENS_SEED; without either, "
+                       "privatize draws an unprinted seed from OS entropy and "
+                       "bench generates its data with seed 0)")
         p.add_argument("--json", action="store_true", help="compact JSON output")
 
     p = sub.add_parser("analyze", help="emit modified and sensitivity SQL")

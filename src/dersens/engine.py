@@ -813,35 +813,31 @@ def run_sensitivity(
                 acc = np.zeros(len(keys))
                 (np.add if tp.group_agg == "sum" else np.maximum).at(acc, codes, vals)
                 groups = dict(zip(keys.tolist(), acc.tolist()))
-            value = _dual_over_groups(groups, tp.rows_p)
+            value = _dual_norm([groups[g] for g in sorted(groups)], tp.rows_p)
             argmax = max(sorted(groups), key=lambda g: groups[g]) if groups else None
             breakdown.append(GroupBreakdown(tp.alias, tp.table, groups, argmax, value))
             values.append(value)
-    total = _dual_across_tables(values, plan.ctx.schema.database_p)
+    total = _dual_norm(values, plan.ctx.schema.database_p)
     return _check_finite(total, "sensitivity"), breakdown
 
 
-def _dual_across_tables(values: list[float], database_p: float) -> float:
+def _dual_norm(values: list[float], p: float) -> float:
+    """The norm dual to lp of non-negative values: their max for p = 1, their
+    sum for p = inf, their lq norm, q = p / (p - 1), otherwise.  Where the
+    powers overflow, the lq norm is taken of the values scaled by their max,
+    so that a result within range comes out finite."""
     if not values:
         return 0.0
-    if database_p == INF:
-        return math.fsum(values)
-    if database_p == 1.0:
+    if p == 1.0:
         return max(values)
-    q = database_p / (database_p - 1.0)
-    return math.fsum(v**q for v in values) ** (1.0 / q)
-
-
-def _dual_over_groups(groups: Mapping[str, float], rows_p: float) -> float:
-    vals = [groups[g] for g in sorted(groups)]
-    if not vals:
-        return 0.0
-    if rows_p == 1.0:
-        return max(vals)
-    if rows_p == INF:
-        return math.fsum(vals)
-    q = rows_p / (rows_p - 1.0)
-    return math.fsum(v**q for v in vals) ** (1.0 / q)
+    if p == INF:
+        return math.fsum(values)
+    q = p / (p - 1.0)
+    try:
+        return math.fsum(v**q for v in values) ** (1.0 / q)
+    except OverflowError:
+        top = max(values)
+        return top * math.fsum((v / top) ** q for v in values) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
@@ -870,6 +871,67 @@ def _frozen(values: Iterable, dtype: type, n: int) -> np.ndarray:
     return out
 
 
+# ---- the C path: one np.loadtxt call per file ------------------------------
+
+# The loadtxt type of each column type.  int columns are read as int64 and
+# cast to float afterwards: numpy's int64 parser refuses `1.0` and `1e3` as
+# the csv path's int() does, where a float64 parser would take them.
+_LOADTXT_TYPES = {"text": object, "int": "int64", "real": "float64", "date-months": "float64"}
+
+
+def _loadtxt(path: str, header: list[str], types: list[str]) -> np.ndarray | None:
+    """The data records of the CSV file at `path` as one structured array
+    (fields f0, f1, ... of the given column types), read by a single call of
+    numpy's C text reader; or None where that reader cannot take the file.
+
+    It cannot take a file whose header is not `header`, whose text holds a
+    quote, a carriage return or NUL, or has a line that may exceed the csv
+    module's field size limit, or on which np.loadtxt raises or warns: a
+    cell it cannot parse exactly as the csv path would (`1_000`, `1.0` in an
+    int column, ISO dates, empty cells, ints beyond int64), a record of the
+    wrong width, a whitespace-only line, no records.  The csv path reads
+    those files, and it alone words the error messages."""
+    import numpy as np
+
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if (text.partition("\n")[0].split(",") != header or '"' in text or "\r" in text
+            or "\0" in text or _may_have_long_line(text, csv.field_size_limit())):
+        return None
+    dtype = np.dtype([(f"f{k}", _LOADTXT_TYPES[ty]) for k, ty in enumerate(types)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # given a path, loadtxt reads the file in chunks; given a file
+            # object it would go through it line by line
+            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                              ndmin=1)
+    except (ValueError, TypeError, OverflowError, Warning):
+        return None
+
+
+def _may_have_long_line(text: str, limit: int) -> bool:
+    """False when no line of `text` is longer than `limit`: every aligned
+    stretch of limit // 2 characters holds a newline, and a longer line
+    would cover one such stretch whole."""
+    step = max(limit // 2, 1)
+    return any(text.find("\n", k, k + step) < 0 for k in range(0, len(text) - step + 1, step))
+
+
+def _frozen_field(records: np.ndarray, k: int) -> np.ndarray:
+    """Field `k` of the records as a contiguous read-only array: float for
+    numeric fields (int64 fields cast), object arrays of str otherwise."""
+    field = records[f"f{k}"]
+    out = field.astype(object if field.dtype == object else float)
+    out.flags.writeable = False
+    return out
+
+
+# ---- the csv path: the reference reader, and the only one that words errors
+
 # Records are moved into the columns this many at a time.  A block's record
 # lists then die before the cyclic collector's youngest generation (700
 # allocations) fills, so the collector never walks a whole table of them.
@@ -904,30 +966,47 @@ def _read_column(cells: list[str], ty: str, table: str, col: str) -> np.ndarray:
 
 
 def load_database(data_dir: str, schema: Schema) -> Database:
-    """Load <table>.csv plus <table>_sensRows.csv for every schema table."""
+    """Load <table>.csv plus <table>_sensRows.csv for every schema table.
+
+    Each file is read by one np.loadtxt call where numpy's C text reader can
+    take it, and by the csv module otherwise (see `_loadtxt`).  Both paths
+    give the same arrays; every error message comes from the csv path."""
     tables: dict[str, TableData] = {}
     for tname, ts in schema.tables.items():
         path = os.path.join(data_dir, f"{tname}.csv")
         if not os.path.exists(path):
             raise SchemaError(f"missing data file {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "ID":
-                raise SchemaError(f"{path}: first column must be ID")
-            declared = [c for c, _ in ts.columns]
-            if header[1:] != declared:
-                raise SchemaError(
-                    f"{path}: columns {header[1:]} do not match schema {declared}"
-                )
-            ids, *cells = _read_cells(reader, path, len(header))
-        columns = {c: _read_column(v, ty, tname, c) for (c, ty), v in zip(ts.columns, cells)}
-        known = set(ids)
-        if len(known) != len(ids):
+        header = ["ID", *(c for c, _ in ts.columns)]
+        records = _loadtxt(path, header, ["text", *(ty for _, ty in ts.columns)])
+        if records is None:
+            ids, columns = _read_table_csv(path, ts)
+        else:
+            ids, *arrays = (_frozen_field(records, k) for k in range(len(header)))
+            columns = dict(zip(header[1:], arrays))
+        id_list = ids.tolist()
+        known = set(id_list)
+        if len(known) != len(id_list):
             raise SchemaError(f"{path}: duplicate row IDs")
-        mask = _load_mask(data_dir, tname, ids, known)
-        tables[tname] = TableData(tname, columns, _frozen(ids, object, len(ids)), mask)
+        mask = _load_mask(data_dir, tname, id_list, known)
+        tables[tname] = TableData(tname, columns, ids, mask)
     return Database(tables)
+
+
+def _read_table_csv(path: str, ts: TableSchema) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The csv path of `load_database`: the table's IDs and columns."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "ID":
+            raise SchemaError(f"{path}: first column must be ID")
+        declared = [c for c, _ in ts.columns]
+        if header[1:] != declared:
+            raise SchemaError(
+                f"{path}: columns {header[1:]} do not match schema {declared}"
+            )
+        ids, *cells = _read_cells(reader, path, len(header))
+    columns = {c: _read_column(v, ty, ts.name, c) for (c, ty), v in zip(ts.columns, cells)}
+    return _frozen(ids, object, len(ids)), columns
 
 
 def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np.ndarray:
@@ -935,11 +1014,15 @@ def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np
     path = os.path.join(data_dir, f"{tname}_sensRows.csv")
     if not os.path.exists(path):
         raise SchemaError(f"missing sensitive-rows file {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["ID", "sensitive"]:
-            raise SchemaError(f"{path}: header must be ID,sensitive")
-        listed, flags = _read_cells(reader, path, 2)
+    records = _loadtxt(path, ["ID", "sensitive"], ["text", "text"])
+    if records is not None:
+        listed, flags = records["f0"].tolist(), records["f1"].tolist()
+    else:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != ["ID", "sensitive"]:
+                raise SchemaError(f"{path}: header must be ID,sensitive")
+            listed, flags = _read_cells(reader, path, 2)
     if not known.issuperset(listed):
         bad = next(i for i in listed if i not in known)
         raise SchemaError(f"{path}: sensRows ID '{bad}' not present in {tname}.csv")

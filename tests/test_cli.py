@@ -161,6 +161,32 @@ def test_privatize_seed_from_environment(b1_1_inputs, capsys, monkeypatch):
     assert via_env["noised"] == via_flag["noised"]
 
 
+def test_unseeded_privatize_is_not_deterministic(b1_1_inputs, capsys, monkeypatch):
+    monkeypatch.delenv("DERSENS_SEED", raising=False)
+    query, schema, data = b1_1_inputs
+    args = ["privatize", "--query", query, "--schema", schema, "--data", data,
+            "--alpha", "0.1", "--json"]
+    releases = []
+    for _ in range(2):
+        assert main(args) == 0
+        releases.append(json.loads(capsys.readouterr().out))
+    first, second = releases
+    assert first["noised"] != second["noised"]
+    assert "seed" not in first and "seed" not in second
+    assert first["modified"] == second["modified"] and first["sensitivity"] > 0.0
+    assert main(args + ["--seed", "42"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 42
+
+
+def test_unseeded_bench_generates_its_data_with_seed_0(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DERSENS_SEED", raising=False)
+    for name, seed in (("unseeded", []), ("seed0", ["--seed", "0"])):
+        assert main(["bench", "--rows", "50", "--json", "--data", str(tmp_path / name), *seed]) == 0
+    capsys.readouterr()
+    for f in ("lineitem.csv", "lineitem_sensRows.csv"):
+        assert (tmp_path / "unseeded" / f).read_bytes() == (tmp_path / "seed0" / f).read_bytes()
+
+
 def test_bench_small(capsys, tmp_path):
     code = main(["bench", "--rows", "300", "--alpha", "0.1", "--json",
                  "--data", str(tmp_path / "bench")])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import sqlite3
@@ -377,3 +378,58 @@ def test_initial_sum_overflow_is_reported_by_the_cli(tmp_path, capsys):
                    str(tmp_path / "schema.txt"), "--data", str(tmp_path)])
     assert rc != 0
     assert "overflow" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# dual norms of the per-group and per-table sensitivities
+# ---------------------------------------------------------------------------
+
+
+def test_dual_norm_scales_values_whose_powers_overflow():
+    # at p = 2 (q = 2) the square of 1e200 overflows; the norm itself does not
+    assert eng._dual_norm([1e200, 1.0], 2.0) == 1e200
+    assert eng._dual_norm([1.0, 1e200], 2.0) == 1e200
+    # the sum of the powers overflows although each power is finite
+    assert eng._dual_norm([1e154, 1e154], 2.0) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert eng._dual_norm([1e300] * 3, 1.5) == pytest.approx(3.0 ** (1 / 3) * 1e300, rel=1e-15)
+    # a norm beyond the double range is inf, which run_sensitivity reports
+    assert eng._dual_norm([1.5e308, 1.5e308], 2.0) == math.inf
+
+
+def test_dual_norm_keeps_the_direct_form_where_it_is_finite():
+    rng = np.random.default_rng(5)
+    for p in (1.25, 2.0, 3.0):
+        q = p / (p - 1.0)
+        for scale in (1e-3, 1.0, 1e6, 1e30):
+            vals = (rng.random(7) * scale).tolist()
+            want = math.fsum(v**q for v in vals) ** (1.0 / q)
+            assert float.hex(eng._dual_norm(vals, p)) == float.hex(want)
+    assert eng._dual_norm([], 2.0) == 0.0
+    assert eng._dual_norm([3.0, 5.0], 1.0) == 5.0
+    assert eng._dual_norm([3.0, 5.0], math.inf) == 8.0
+
+
+def _huge_lp_table(dirpath, a: float, c: float) -> list[str]:
+    """CLI arguments for a sum of a * c over rows whose sensitivities are c,
+    combined by rows lp 2.0, whose dual norm squares them."""
+    write_table(str(dirpath), "t", ["a", "c"], [[a, c], [a, c], [a, 1.0]])
+    (dirpath / "schema.txt").write_text("table t\ncol a real\ncol c real\nrows lp 2.0\n"
+                                        "norm lp 1.0 a\n")
+    (dirpath / "q.sql").write_text("SELECT sum(t.a * t.c) FROM t")
+    return ["--query", str(dirpath / "q.sql"), "--schema", str(dirpath / "schema.txt"),
+            "--data", str(dirpath), "--seed", "3", "--json"]
+
+
+@pytest.mark.parametrize("command", ["run", "privatize"])
+def test_lp_row_combiner_of_huge_sensitivities(tmp_path, capsys, command):
+    assert cli_main([command, *_huge_lp_table(tmp_path, 1.0, 1e200)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sensitivity"] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert report["groups"][0]["value"] == report["sensitivity"]
+    if command == "privatize":
+        assert math.isfinite(report["noised"])
+
+
+def test_lp_row_combiner_beyond_the_double_range_is_an_input_error(tmp_path, capsys):
+    assert cli_main(["run", *_huge_lp_table(tmp_path, 1e-10, 1.5e308)]) == 1
+    assert "sensitivity overflowed" in capsys.readouterr().err

@@ -1,0 +1,220 @@
+"""The two CSV loader paths agree: numpy's C text reader (`sqlfront._loadtxt`,
+one np.loadtxt call per file) and the csv-module path it falls back to.
+
+Every generated data directory is loaded twice, once as `load_database`
+reads it and once with the C path switched off.  Both must give identical
+arrays (float bits, signs of zero and NaN, dtype, read-only flag) or the
+same error; so the C path never accepts a file the csv path rejects."""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dersens import sqlfront as sf
+from dersens.sqlfront import load_database, parse_schema
+
+COLUMN_TYPES = ("int", "real", "date-months", "text")
+
+NUMERIC_CELLS = [
+    "0", "7", " 7", "7 ", "\t7", "+3", "-0", "-0.0", "1.0", "1_000", "1e3", "1e308", "1e309",
+    "-1e308", "1e-320", "5e-324", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "0x10",
+    "007", "٣", "\xa07", "1980-02-01", "2020-12-31", "2020-13-01", "", " ", "abc",
+    str(2**53 + 1), str(-(2**53) - 1), str(2**63 - 1), str(2**63), str(-(2**63)),
+    str(-(2**63) - 1), "1" + "0" * 30, "9" * 400,
+]
+TEXT_CELLS = ["", "x", " x ", "a,b", 'say "hi"', '"', "line\nbreak", "cr\rlf", "#c", "1e308",
+              "-0", "\t", " ", "\x0c"]
+
+# Half the datasets are plain: every cell and line is one the C reader can
+# take, so that many go through it whole.  The other half also draw tricky
+# cells, odd IDs and flags, CRLF line ends, whitespace-only lines and
+# records of the wrong width.
+plain_int_cell = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.sampled_from(["-0", "+3", " 7", "7 ", "007"]),
+)
+plain_numeric_cell = st.one_of(
+    plain_int_cell,
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.3g}"),
+    st.sampled_from(["1e308", "1e309", "1e-320", "-nan", "Infinity", " 2.5 "]),
+)
+tricky_numeric_cell = st.one_of(
+    plain_numeric_cell,
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(NUMERIC_CELLS),
+)
+plain_text_cell = st.text(alphabet=st.sampled_from(list("abx -1.#'\t")), max_size=6)
+tricky_text_cell = st.one_of(
+    plain_text_cell,
+    st.text(alphabet=st.sampled_from(list("ab ,\"\n\r#'\t-1.")), max_size=6),
+    st.sampled_from(TEXT_CELLS),
+)
+
+
+@st.composite
+def datasets(draw):
+    """(schema text, <table>.csv text, <table>_sensRows.csv text)."""
+    types = draw(st.lists(st.sampled_from(COLUMN_TYPES), min_size=1, max_size=4))
+    tricky = draw(st.booleans())
+    cell = {"int": tricky_numeric_cell if tricky else plain_int_cell,
+            "real": tricky_numeric_cell if tricky else plain_numeric_cell,
+            "date-months": tricky_numeric_cell if tricky else plain_numeric_cell,
+            "text": tricky_text_cell if tricky else plain_text_cell}
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    rows = []
+    for k in range(n):
+        ident = draw(st.sampled_from([str(k + 1)] * 8 + ["1", " 2", "a,b", "x"])) if tricky \
+            else str(k + 1)
+        cells = [draw(cell[ty]) for ty in types]
+        edit = draw(st.sampled_from(["none"] * 20 + ["drop", "extra"])) if tricky else "none"
+        if edit == "drop":
+            cells = cells[:-1]
+        elif edit == "extra":
+            cells = cells + ["0"]
+        rows.append([ident, *cells])
+    eol = draw(st.sampled_from(["\n", "\r\n"])) if tricky else "\n"
+    schema = "table t\n" + "".join(f"col c{j} {ty}\n" for j, ty in enumerate(types))
+    header = ["ID", *(f"c{j}" for j in range(len(types)))]
+    table = _csv_text(draw, header, rows, eol, tricky)
+    ids = [r[0] for r in rows]
+    listed = draw(st.permutations(ids)) if ids else []
+    edit = draw(st.sampled_from(["none"] * 4 + ["drop", "twice", "unknown"])) if tricky else "none"
+    if edit == "drop" and listed:
+        listed = listed[1:]
+    elif edit == "twice" and listed:
+        listed = listed + listed[:1]
+    elif edit == "unknown":
+        listed = listed + ["99"]
+    flag = st.sampled_from(["0", "1"] * 6 + [" 1", "yes", ""] if tricky else ["0", "1"])
+    sens = _csv_text(draw, ["ID", "sensitive"], [[i, draw(flag)] for i in listed], eol, tricky)
+    return schema, table, sens
+
+
+def _csv_text(draw, header: list[str], rows: list[list[str]], eol: str, tricky: bool) -> str:
+    """The records written by csv.writer (quoting where needed), with blank
+    lines (and whitespace-only ones if `tricky`) drawn in between and the
+    last line end sometimes left off."""
+    def line(record):
+        out = io.StringIO()
+        csv.writer(out, lineterminator=eol).writerow(record)
+        return out.getvalue()
+
+    text = line(header)
+    for record in rows:
+        text += draw(st.sampled_from([""] * 8 + [eol, eol * 3] + ["  " + eol] * tricky))
+        text += line(record)
+    if draw(st.booleans()) and text.endswith(eol):
+        text = text[: -len(eol)]
+    return text
+
+
+def _outcome(data_dir: str, schema_text: str):
+    """('ok', {name: (dtype, writeable, values)}) or ('error', type, message)."""
+    try:
+        td = load_database(data_dir, parse_schema(schema_text)).tables["t"]
+    except Exception as exc:  # any error: the two paths must raise the same one
+        return ("error", type(exc), str(exc))
+    arrays = {f"column {c}": a for c, a in td.columns.items()}
+    arrays.update(ids=td.ids, sensitive=td.sensitive)
+    return ("ok", {name: _bits(a) for name, a in arrays.items()})
+
+
+def _bits(a: np.ndarray):
+    if a.dtype == np.float64:
+        values = [(float.hex(v), math.copysign(1.0, v)) for v in a.tolist()]
+    else:
+        values = [(type(v), v) for v in a.tolist()]
+    return a.dtype, a.flags.writeable, a.flags.c_contiguous, values
+
+
+def _both_paths(schema_text: str, table: str, sens: str):
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in (("t.csv", table), ("t_sensRows.csv", sens)):
+            with open(os.path.join(d, name), "w", newline="") as fh:
+                fh.write(text)
+        fast = _outcome(d, schema_text)
+        with mock.patch.object(sf, "_loadtxt", lambda *args: None):
+            reference = _outcome(d, schema_text)
+    return fast, reference
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(datasets())
+def test_c_reader_and_csv_module_load_the_same(data):
+    fast, reference = _both_paths(*data)
+    assert fast == reference
+
+
+# ---------------------------------------------------------------------------
+# which files take which path
+# ---------------------------------------------------------------------------
+
+_SCHEMA = "table t\ncol i int\ncol r real\ncol d date-months\ncol s text\n"
+_HEADER = ["ID", "i", "r", "d", "s"]
+_TYPES = ["text", "int", "real", "date-months", "text"]
+
+
+def _loadtxt_of(tmp_path, text: str):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    return sf._loadtxt(str(path), _HEADER, _TYPES)
+
+
+def test_plain_files_take_the_c_reader(tmp_path):
+    text = ("ID,i,r,d,s\n1, 7,-0,12.5,a b\n\n2,+3,1e-320,nan, x \n"
+            f"3,{2**63 - 1},1e308,-inf,#c\n")
+    records = _loadtxt_of(tmp_path, text)
+    assert records is not None and len(records) == 3
+    fast, reference = _both_paths(_SCHEMA, text, "ID,sensitive\n3,1\n1,0\n2,1\n")
+    assert fast == reference and fast[0] == "ok"
+
+
+@pytest.mark.parametrize("text", [
+    "ID,i,r,d,s\r\n1,7,1.5,2,x\r\n",          # CRLF line ends
+    'ID,i,r,d,s\n1,7,1.5,2,"x"\n',            # a quote
+    "ID,i,r,d,s\n1,7,1.5,2,a\0b\n",           # NUL
+    "ID,i,r,e,s\n1,7,1.5,2,x\n",              # not the schema's header
+    "ID,i,r,d,s\n",                           # no records
+    "ID,i,r,d,s\n1,7,1.5,1980-02-01,x\n",     # an ISO date
+    "ID,i,r,d,s\n1,1.0,1.5,2,x\n",            # a float in an int column
+    "ID,i,r,d,s\n1,1_000,1.5,2,x\n",          # an underscore
+    f"ID,i,r,d,s\n1,{2**63},1.5,2,x\n",       # an int beyond int64
+    "ID,i,r,d,s\n1,7,,2,x\n",                 # an empty cell
+    "ID,i,r,d,s\n1,7,1.5,2\n",                # a short record
+])
+def test_files_the_c_reader_cannot_take_go_to_the_csv_module(tmp_path, text):
+    assert _loadtxt_of(tmp_path, text) is None
+
+
+def test_lines_longer_than_the_csv_field_limit_go_to_the_csv_module(tmp_path):
+    # the csv module refuses a field longer than its limit; the C reader has
+    # none, so a file with a line that long must not take the C path
+    text = "ID,i,r,d,s\n1,7,1.5,2," + "x" * 60 + "\n"
+    old = csv.field_size_limit(40)
+    try:
+        assert _loadtxt_of(tmp_path, text) is None
+        fast, reference = _both_paths(_SCHEMA, text, "ID,sensitive\n1,1\n")
+    finally:
+        csv.field_size_limit(old)
+    assert fast == reference and fast[0] == "error" and fast[1] is csv.Error
+
+
+@pytest.mark.parametrize("length", [9, 21, 45])
+def test_long_line_check(length):
+    # limit 20: a line over 20 characters is always caught, and a text whose
+    # lines are all under limit // 2 never is
+    text = "\n".join(["a" * 3, "b" * length, "c" * 7]) + "\n"
+    assert sf._may_have_long_line(text, 20) == (length > 20)

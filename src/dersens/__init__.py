@@ -38,9 +38,7 @@ from dersens.mechanism import (
     InfeasibleParams,
     NoiseParams,
     Release,
-    ddp_check,
     derive_b,
-    guessing_posterior_bound,
     privatize,
     sample,
 )

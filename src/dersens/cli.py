@@ -70,7 +70,7 @@ def _noise_params(args, plan) -> NoiseParams:
         b = derive_b(args.epsilon, beta, args.gamma)
     except InfeasibleParams as exc:
         msg = str(exc)
-        if plan.beta_achieved > args.beta:
+        if exc.min_epsilon is not None and plan.beta_achieved > args.beta:
             msg += (
                 f"; the query only admits smoothness beta={plan.beta_achieved:.6g}"
                 f" (requested {args.beta:.6g})"
@@ -151,7 +151,10 @@ def _run_report(args, with_noise: bool) -> dict:
         seed = _seed(args)
         # an unseeded release draws its seed from OS entropy and does not
         # print it: with the seed a reader could recompute the noise
-        rel = privatize(modified, sens, params, secrets.randbits(128) if seed is None else seed)
+        try:
+            rel = privatize(modified, sens, params, secrets.randbits(128) if seed is None else seed)
+        except InfeasibleParams as exc:
+            raise CliError(str(exc), EXIT_INFEASIBLE) from None
         report.update({
             "noised": rel.noised,
             "epsilon": params.epsilon,

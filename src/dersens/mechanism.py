@@ -1,5 +1,5 @@
-"""Generalized-Cauchy noise: parameter derivation, seeded sampling, private
-release, and numeric oracles for the privacy guarantee.
+"""Generalized-Cauchy noise: parameter derivation, seeded sampling and
+private release.
 
 The noise density is proportional to 1/(1+|x|^gamma).  A release adds
 (c(x)/b) * eta to the query value, where c(x) is a beta-smooth upper bound
@@ -18,9 +18,7 @@ __all__ = [
     "InfeasibleParams",
     "NoiseParams",
     "Release",
-    "ddp_check",
     "derive_b",
-    "guessing_posterior_bound",
     "privatize",
     "sample",
 ]
@@ -34,13 +32,15 @@ class InfeasibleParams(ValueError):
 
 
 def derive_b(epsilon: float, beta: float, gamma: float) -> float:
-    """Noise scale parameter b = epsilon/(gamma+1) - beta; must be positive."""
-    if gamma <= 1.0:
-        raise InfeasibleParams(f"gamma must exceed 1, got {gamma}")
-    if epsilon <= 0.0:
-        raise InfeasibleParams(f"epsilon must be positive, got {epsilon}")
-    if beta <= 0.0:
-        raise InfeasibleParams(f"beta must be positive, got {beta}")
+    """Noise scale parameter b = epsilon/(gamma+1) - beta; must be positive.
+    Every parameter must be finite: an infinite epsilon would release the
+    exact value, and a NaN passes every `<=` check."""
+    if not 1.0 < gamma < math.inf:
+        raise InfeasibleParams(f"gamma must be finite and exceed 1, got {gamma}")
+    if not 0.0 < epsilon < math.inf:
+        raise InfeasibleParams(f"epsilon must be finite and positive, got {epsilon}")
+    if not 0.0 < beta < math.inf:
+        raise InfeasibleParams(f"beta must be finite and positive, got {beta}")
     b = epsilon / (gamma + 1.0) - beta
     if b <= 0.0:
         need = (gamma + 1.0) * beta
@@ -64,110 +64,43 @@ class NoiseParams:
             object.__setattr__(self, "b", derive_b(self.epsilon, self.beta, self.gamma))
 
 
-_TABLE_KNOTS = 1 << 16
-_BISECT_STEPS = 60
-
-
 class GenCauchy:
-    """Density 1/(Z (1+|x|^gamma)); tabulated CDF with seeded inverse sampling.
+    """Density 1/(Z (1+|x|^gamma)), sampled exactly by rejection.
 
-    The half-line mass is accumulated by Simpson's rule on a 2^16-knot grid
-    under the substitution x = t/(1-t); sampling inverts the table with
-    bisection against a cubic Hermite interpolant, refined to 1e-12.
+    The proposal g(x) = min(1, |x|^-gamma) lies above h(x) = 1/(1+|x|^gamma);
+    its half-line mass is gamma/(gamma-1): 1 on [0, 1] and 1/(gamma-1) on the
+    Pareto tail beyond.  A candidate is accepted with probability h/g, which
+    is at least 1/2, so no clamp or table bounds the tail.
     """
 
-    _cache: dict[float, "GenCauchy"] = {}
-
-    def __new__(cls, gamma: float):
-        key = float(gamma)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        cls._cache[key] = self
-        return self
-
     def __init__(self, gamma: float):
-        if getattr(self, "_ready", False):
-            return
-        if not gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {gamma}")
+        if not 1.0 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
         self.gamma = float(gamma)
         self.z = (2.0 / gamma) * math.pi / math.sin(math.pi / gamma)
-        self._build_table()
-        self._ready = True
-
-    def _density_raw(self, x):
-        return 1.0 / (1.0 + np.abs(x) ** self.gamma)
 
     def pdf(self, x):
-        return self._density_raw(x) / self.z
-
-    def _build_table(self) -> None:
-        t = np.linspace(0.0, 1.0, _TABLE_KNOTS + 1)[:-1]
-        x = t / (1.0 - t)
-        # Simpson on each interval of the transformed integrand
-        g = self._density_raw(x) / (1.0 - t) ** 2 / self.z
-        tm = (t[1:] + t[:-1]) / 2.0
-        gm = self._density_raw(tm / (1.0 - tm)) / (1.0 - tm) ** 2 / self.z
-        dt = np.diff(t)
-        seg = dt / 6.0 * (g[:-1] + 4.0 * gm + g[1:])
-        half = np.concatenate([[0.0], np.cumsum(seg)])
-        self._x = x
-        self._half = half  # mass of [0, x_k]
-        self._tail = 0.5 - half[-1]  # analytic remainder beyond the grid
-
-    def cdf(self, x) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
-        sign = np.sign(xv)
-        half = self._half_mass(np.abs(xv))
-        return 0.5 + sign * half
-
-    def _half_mass(self, ax: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._x, ax) - 1, 0, len(self._x) - 2)
-        x0, x1 = self._x[idx], self._x[idx + 1]
-        h0, h1 = self._half[idx], self._half[idx + 1]
-        out = self._hermite(np.clip(ax, x0, x1), x0, x1, h0, h1)
-        return np.where(ax >= self._x[-1], 0.5 - self._tail, out)
-
-    def _hermite(self, xq, x0, x1, h0, h1):
-        w = x1 - x0
-        s = np.where(w > 0, (xq - x0) / np.where(w > 0, w, 1.0), 0.0)
-        d0 = self.pdf(x0) * w
-        d1 = self.pdf(x1) * w
-        s2, s3 = s * s, s * s * s
-        return (
-            h0 * (2 * s3 - 3 * s2 + 1)
-            + d0 * (s3 - 2 * s2 + s)
-            + h1 * (-2 * s3 + 3 * s2)
-            + d1 * (s3 - s2)
-        )
-
-    def inverse_cdf(self, u) -> np.ndarray:
-        uv = np.asarray(u, dtype=float)
-        sign = np.where(uv >= 0.5, 1.0, -1.0)
-        m = np.abs(uv - 0.5)
-        m = np.minimum(m, 0.5 - self._tail - 1e-300)
-        idx = np.clip(np.searchsorted(self._half, m) - 1, 0, len(self._x) - 2)
-        lo = self._x[idx].copy()
-        hi = self._x[idx + 1].copy()
-        x0, x1 = self._x[idx], self._x[idx + 1]
-        h0, h1 = self._half[idx], self._half[idx + 1]
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            val = self._hermite(mid, x0, x1, h0, h1)
-            too_low = val < m
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-            if np.all(hi - lo <= 1e-12 * np.maximum(1.0, np.abs(hi))):
-                break
-        return sign * 0.5 * (lo + hi)
+        return 1.0 / (self.z * (1.0 + np.abs(x) ** self.gamma))
 
     def sample(self, seed: int, n: int = 1) -> np.ndarray:
-        """Seeded draws via the counter-based Philox generator; identical
-        seeds give identical streams."""
+        """n draws from the counter-based Philox stream of `seed`.
+
+        Candidate k reads uniforms 4k..4k+3 (branch, position, acceptance,
+        sign) whatever the batch size, so the draws for n are the first n of
+        the draws for any larger n."""
+        g = self.gamma
         rng = np.random.Generator(np.random.Philox(seed))
-        u = rng.random(n)
-        return self.inverse_cdf(u)
+        out = np.empty(0)
+        while len(out) < n:
+            branch, pos, accept, sign = rng.random(((n - len(out)) * 3 // 2 + 16, 4)).T
+            # min(x, 1/x)^gamma gives h/g as 1/(1+x^gamma) for x <= 1 and as
+            # 1/(1+x^-gamma) above, never inf/inf: a tail draw that overflows
+            # to inf, or x = 0 with 1/x = inf, still gets a ratio in [1/2, 1]
+            with np.errstate(over="ignore", divide="ignore"):
+                x = np.where(branch < (g - 1.0) / g, pos, (1.0 - pos) ** (-1.0 / (g - 1.0)))
+                keep = accept < 1.0 / (1.0 + np.minimum(x, 1.0 / x) ** g)
+            out = np.concatenate([out, np.where(sign[keep] < 0.5, -x[keep], x[keep])])
+        return out[:n]
 
 
 def sample(gamma: float, seed: int, n: int = 1) -> float | np.ndarray:
@@ -189,59 +122,16 @@ class Release:
 
 
 def privatize(raw: float, c: float, params: NoiseParams, seed: int) -> Release:
-    """Add generalized-Cauchy noise scaled by the smooth sensitivity bound."""
+    """Add generalized-Cauchy noise scaled by the smooth sensitivity bound.
+
+    Raises InfeasibleParams when the noised value is not finite, as when a
+    tail draw overflows at gamma close to 1."""
     if not math.isfinite(c) or c < 0.0:
         raise ValueError(f"sensitivity must be finite and non-negative, got {c}")
     eta = sample(params.gamma, seed)
     noise = (c / params.b) * eta
-    return Release(raw=raw, sensitivity=c, params=params, noise=noise,
-                   noised=raw + noise, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Numeric oracles
-# ---------------------------------------------------------------------------
-
-
-def ddp_check(f1: tuple[float, float], f2: tuple[float, float], gamma: float = 4.0,
-              grid_points: int = 4001, budget: float | None = None) -> float:
-    """Largest absolute log-density ratio between a1 + c1*eta and a2 + c2*eta.
-
-    Maximizes over a wide tan-spaced grid around both centers plus the exact
-    |y| -> inf limit; used as a test oracle against epsilon * distance.  When
-    a budget is given, exceeding it (beyond a 1e-6 relative slack) raises.
-    """
-    a1, c1 = f1
-    a2, c2 = f2
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("noise scales must be positive")
-    base = np.tan(np.linspace(-0.5 * math.pi, 0.5 * math.pi, grid_points)[1:-1] * 0.9999)
-    ys = np.concatenate([a1 + c1 * base, a2 + c2 * base])
-
-    def logpdf(y, a, c):
-        v = np.abs((y - a) / c)
-        return -np.log1p(v**gamma) - math.log(c)
-
-    ratios = np.abs(logpdf(ys, a1, c1) - logpdf(ys, a2, c2))
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError("log-density underflowed on the grid")
-    limit = abs((gamma - 1.0) * math.log(c1 / c2))
-    out = float(max(ratios.max(), limit))
-    if budget is not None and out > budget * (1.0 + 1e-6):
-        raise AssertionError(
-            f"privacy loss {out:.6g} exceeds the budget {budget:.6g}"
-        )
-    return out
-
-
-def guessing_posterior_bound(epsilon: float, a: float, prior_correct: float,
-                             prior_near: float) -> float:
-    """Upper bound on the attacker's posterior probability of a correct guess,
-    given the prior mass of the correct set and of the set within distance a."""
-    if not 0.0 <= prior_correct <= 1.0 or not 0.0 <= prior_near <= 1.0:
-        raise ValueError("priors must lie in [0, 1]")
-    if prior_correct == 0.0:
-        raise ValueError("prior of the correct set must be positive")
-    if a <= 0.0:
-        raise ValueError("distance bound must be positive")
-    return 1.0 / (1.0 + math.exp(-epsilon * a) * (1.0 - prior_near) / prior_correct)
+    noised = raw + noise
+    if not math.isfinite(noised):
+        raise InfeasibleParams(f"the noised value is not finite at gamma={params.gamma}")
+    return Release(raw=raw, sensitivity=c, params=params, noise=noise, noised=noised,
+                   seed=seed)

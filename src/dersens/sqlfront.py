@@ -9,6 +9,7 @@ emitted sensitivity queries can be re-read and re-evaluated independently.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -894,7 +895,7 @@ def _loadtxt(path: str, header: list[str], types: list[str]) -> np.ndarray | Non
     import numpy as np
 
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
@@ -908,7 +909,7 @@ def _loadtxt(path: str, header: list[str], types: list[str]) -> np.ndarray | Non
             # given a path, loadtxt reads the file in chunks; given a file
             # object it would go through it line by line
             return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                              ndmin=1)
+                              ndmin=1, encoding="utf-8")
     except (ValueError, TypeError, OverflowError, Warning):
         return None
 
@@ -931,6 +932,19 @@ def _frozen_field(records: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---- the csv path: the reference reader, and the only one that words errors
+
+
+@contextlib.contextmanager
+def _csv_reader(path: str) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over the UTF-8 file at `path`.  Bytes that are not UTF-8
+    and fields longer than `csv.field_size_limit()` raise a SchemaError
+    naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
 
 # Records are moved into the columns this many at a time.  A block's record
 # lists then die before the cyclic collector's youngest generation (700
@@ -994,8 +1008,7 @@ def load_database(data_dir: str, schema: Schema) -> Database:
 
 def _read_table_csv(path: str, ts: TableSchema) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The csv path of `load_database`: the table's IDs and columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or header[0] != "ID":
             raise SchemaError(f"{path}: first column must be ID")
@@ -1018,8 +1031,7 @@ def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np
     if records is not None:
         listed, flags = records["f0"].tolist(), records["f1"].tolist()
     else:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with _csv_reader(path) as reader:
             if next(reader, None) != ["ID", "sensitive"]:
                 raise SchemaError(f"{path}: header must be ID,sensitive")
             listed, flags = _read_cells(reader, path, 2)

@@ -51,7 +51,7 @@ from dersens.exprs import (
     finite_diff_ds,
     smooth_bound,
 )
-from dersens.mechanism import GenCauchy, NoiseParams, ddp_check, derive_b
+from dersens.mechanism import GenCauchy, NoiseParams, derive_b
 from dersens.norms import (
     Combine,
     Scale,
@@ -64,6 +64,7 @@ from dersens.norms import (
     scale_straightforward,
 )
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
+from privacy_oracles import ddp_check
 
 X, Y = Col("x"), Col("y")
 INF = math.inf

@@ -70,6 +70,38 @@ def test_analyze_infeasible_beta_exits_2(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--epsilon", "inf"],
+    ["--epsilon", "nan"],
+    ["--gamma", "nan"],
+    ["--gamma", "1.0001", "--seed", "3"],  # the tail draw overflows to inf
+], ids=["epsilon-inf", "epsilon-nan", "gamma-nan", "gamma-overflow"])
+def test_privatize_non_finite_parameters_exit_2(b1_1_inputs, capsys, extra):
+    query, schema, data = b1_1_inputs
+    code = main(["privatize", "--query", query, "--schema", schema, "--data", data,
+                 "--alpha", "0.1", "--json", *extra])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == "" and "finite" in out.err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b",R,F,100.0", b",R\xff,F,100.0"),      # not UTF-8
+    (b",R,", b",R" + b"x" * 140_000 + b","),  # over the csv module's field limit
+], ids=["not-utf8", "long-cell"])
+def test_run_unreadable_data_exits_1(b1_1_inputs, capsys, old, new):
+    query, schema, data = b1_1_inputs
+    path = os.path.join(data, "lineitem.csv")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert old in raw
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(old, new, 1))
+    code = main(["run", "--query", query, "--schema", schema, "--data", data, "--json"])
+    assert code == 1
+    assert path in capsys.readouterr().err
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = main(["analyze", "--query", str(tmp_path / "nope.sql"),
                  "--schema", str(tmp_path / "nope.txt")])

@@ -209,7 +209,8 @@ def test_lines_longer_than_the_csv_field_limit_go_to_the_csv_module(tmp_path):
         fast, reference = _both_paths(_SCHEMA, text, "ID,sensitive\n1,1\n")
     finally:
         csv.field_size_limit(old)
-    assert fast == reference and fast[0] == "error" and fast[1] is csv.Error
+    assert fast == reference and fast[0] == "error" and fast[1] is sf.SchemaError
+    assert "t.csv: field larger than field limit" in fast[2]
 
 
 @pytest.mark.parametrize("length", [9, 21, 45])

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -203,6 +204,89 @@ def test_emitted_queries_match_goldens(name, sql):
         assert_sql_equivalent(modified, fh.read())
     with open(os.path.join(GOLDEN_DIR, f"{name}_sensitivity.sql")) as fh:
         assert_sql_equivalent(sensitivity, fh.read())
+
+
+# Every golden, pinned byte for byte together with the plan's beta_achieved
+# and scaling witnesses.  The four shapes after b16 cover the norm-alignment
+# fallback, the exact integer lowering, a join of three sensitive tables and
+# a norm of several lp blocks (its lp 3 block is where normalizing twice and
+# once differ in the last bit of a scale).
+
+MULTI_BLOCK_SCHEMA = """\
+table m
+col m_site text
+col a real
+col b real
+col c real
+col d real
+col e int
+col f real
+rows lp 1.0
+norm lp 2.0 (scaled 2.0 (lp 1.0 a b)) (linf c (scaled 3.0 d)) (lp 3.0 (scaled 0.1 e) f)
+"""
+
+GOLDEN_CASES = {
+    "b1_1": (TPCH_MINI_SCHEMA, B1_1_SQL, SOFT_PARAMS),
+    "b1_5": (TPCH_MINI_SCHEMA, B1_5_SQL, SOFT_PARAMS),
+    "b16": (TPCH_MINI_SCHEMA, B16_SQL, SOFT_PARAMS),
+    "or_not_fallback": (TPCH_MINI_SCHEMA, """\
+select sum(lineitem.l_quantity) from lineitem
+where (lineitem.l_shipdateG < 100.5 or not (lineitem.l_commitdateG > 250.5))
+and not (lineitem.l_receiptdateG >= 300.5 or lineitem.l_returnflag = 'N');
+""", PlanParams(beta=0.1, alpha=0.1)),
+    "precise_ints": (TPCH_MINI_SCHEMA, """\
+select sum(partsupp.ps_supplycost) from partsupp
+where partsupp.ps_availqty between 100 and 5000 and partsupp.ps_availqty <> 2500
+and partsupp.ps_suppkey = 7;
+""", PlanParams(beta=0.1, alpha=5.0, precise_ints=True)),
+    "join3_sensitive": (TPCH_MINI_SCHEMA, """\
+select sum(partsupp.ps_supplycost * partsupp.ps_availqty) from partsupp, part, supplier
+where part.p_partkey = partsupp.ps_partkey and partsupp.ps_suppkey = supplier.s_suppkey
+and part.p_size < 20.5 and supplier.s_acctbal > 1000.5 and part.p_brand = 'Brand#14';
+""", PlanParams(beta=0.1, alpha=0.5)),
+    "multi_block_norm": (MULTI_BLOCK_SCHEMA, """\
+select sum(m.a + 2 * m.c) from m
+where m.e >= 4.5 and m.m_site <> 'x';
+""", PlanParams(beta=0.1, alpha=1.0)),
+}
+
+
+def golden_outputs(name: str) -> dict[str, str]:
+    """The golden files of one case: file name -> text."""
+    schema_text, sql, params = GOLDEN_CASES[name]
+    _, plan = _plan_for(sql, schema_text, params)
+    modified, sensitivity = emit_sql(plan)
+    facts = {
+        "beta_achieved": plan.beta_achieved,
+        "witnesses": {tp.alias: {"method": tp.witness.method,
+                                 "global_scale": tp.witness.global_scale,
+                                 "var_scale": tp.witness.var_scale}
+                      for tp in plan.table_plans},
+    }
+    return {
+        f"{name}_modified.sql": modified + "\n",
+        f"{name}_sensitivity.sql": sensitivity + "\n",
+        f"{name}_plan.json": json.dumps(facts, indent=1) + "\n",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_goldens_are_byte_identical(name):
+    for fname, text in golden_outputs(name).items():
+        with open(os.path.join(GOLDEN_DIR, fname), encoding="utf-8") as fh:
+            assert text == fh.read(), fname
+
+
+def test_golden_shapes():
+    # the cases keep the shapes they were chosen for
+    plans = {name: _plan_for(sql, schema_text, params)[1]
+             for name, (schema_text, sql, params) in GOLDEN_CASES.items()}
+    assert {tp.witness.method for tp in plans["or_not_fallback"].table_plans} == {"straightforward"}
+    assert "least(1.0, greatest(0.0" in emit_sql(plans["precise_ints"])[0]
+    assert len(plans["join3_sensitive"].table_plans) == 3
+    assert all(tp.combined != ex.ZERO for tp in plans["join3_sensitive"].table_plans)
+    tp, = plans["multi_block_norm"].table_plans
+    assert tp.witness.method == "elaborate" and len(tp.witness.var_scale) == 3
 
 
 def test_emit_zero_sensitivity_keeps_group_structure():

@@ -85,6 +85,7 @@ __all__ = [
     "emit_sql",
     "lower_aggregation",
     "render",
+    "table_norm",
 ]
 
 DELTA_KEY = "__span__"
@@ -320,6 +321,19 @@ def _qualify_norm(n: NormExpr, alias: str) -> NormExpr:
     return Combine(n.p, tuple(_qualify_norm(c, alias) for c in n.children))
 
 
+def table_norm(ts: sf.TableSchema, alias: str) -> NormExpr:
+    """The declared norm of `ts` over `alias.column` variables, in the normal
+    form norm alignment fits against; computed once per alias and kept on the
+    schema."""
+    ndb = ts.normal_norms.get(alias)
+    if ndb is None:
+        # normalize is not idempotent: each pass recomputes the scale a of a
+        # lone variable under an lp block as (a^p)^(1/p), which for 1 < p < inf
+        # can move it by an ulp; the witnesses are fitted to the second pass
+        ndb = ts.normal_norms[alias] = normalize(normalize(_qualify_norm(ts.norm, alias)))
+    return ndb
+
+
 def _count_occurrences(e: ScalarExpr, counts: dict[str, int]) -> None:
     if isinstance(e, Col):
         counts[e.name] = counts.get(e.name, 0) + 1
@@ -328,30 +342,26 @@ def _count_occurrences(e: ScalarExpr, counts: dict[str, int]) -> None:
         _count_occurrences(c, counts)
 
 
-def align_norms(
-    row_expr: ScalarExpr, alias: str, db_norm: NormExpr
-) -> tuple[ScalingWitness, NormExpr]:
+def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWitness:
     """Fit the query's occurrence norm for one table under its declared norm.
 
-    The query norm takes one l1 slot per occurrence of each sensitive column
-    in the row expression (the most conservative combination, so the fit is
-    always sound); the scaling witness then carries the per-variable factors
-    the sensitivity expressions divide by.  Scaling is applied even when the
-    unscaled query norm is already dominated, because any slack directly
-    shrinks the noise.
+    `counts` holds how often each sensitive column occurs in the row
+    expression, `ndb` the table's norm over `alias.column` variables in
+    normal form (see `table_norm`).  The query norm takes one l1 slot per
+    occurrence of each of the alias's columns (the most conservative
+    combination, so the fit is always sound); the scaling witness then
+    carries the per-variable factors the sensitivity expressions divide by.
+    Scaling is applied even when the unscaled query norm is already
+    dominated, because any slack directly shrinks the noise.
     """
-    counts: dict[str, int] = {}
-    _count_occurrences(row_expr, counts)
     prefix = alias + "."
-    mine = {v: k for v, k in counts.items() if v.startswith(prefix)}
-    if not mine:
-        return ScalingWitness(var_scale={}, global_scale=1.0), normalize(db_norm)
     slots: list[NormExpr] = []
-    for v in sorted(mine):
-        slots.extend([Var(v)] * mine[v])
+    for v in sorted(v for v in counts if v.startswith(prefix)):
+        slots.extend([Var(v)] * counts[v])
+    if not slots:
+        return ScalingWitness(var_scale={}, global_scale=1.0)
     nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
-    ndb = normalize(db_norm)
-    return scale_elaborate(nq, ndb), ndb
+    return scale_elaborate(nq, ndb, normal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +397,20 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
     row_expr = lower_aggregation(agg, f, sigma, span)
 
     # one witness per sensitive table, one smooth analysis for the whole row
-    witnesses: dict[str, tuple[ScalingWitness, NormExpr]] = {}
+    counts: dict[str, int] = {}
+    _count_occurrences(row_expr, counts)
+    witnesses: dict[str, ScalingWitness] = {}
     targets: dict[str, float] = {}
     seeds: dict[str, float] = {}
     for alias in ctx.sensitive_aliases:
-        table = ctx.aliases[alias]
-        norm = _qualify_norm(ctx.schema.table(table).norm, alias)
-        witness, ndb = align_norms(row_expr, alias, norm)
-        witnesses[alias] = (witness, ndb)
+        ts = ctx.schema.table(ctx.aliases[alias])
+        witness = witnesses[alias] = align_norms(counts, alias, table_norm(ts, alias))
         for v in witness.var_scale:
             s = witness.effective(v)
             targets[v] = params.beta * s
             seeds[v] = 1.0 / s
 
-    leftover = ex.expr_vars(row_expr) - set(targets)
+    leftover = counts.keys() - targets.keys()
     if leftover:
         raise SchemaError(
             "sensitive columns without a norm declaration: " + ", ".join(sorted(leftover))
@@ -412,7 +422,7 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
     table_plans: list[TableSensPlan] = []
     rate_total: dict[str, float] = {}
     for alias in ctx.sensitive_aliases:
-        witness, _ = witnesses[alias]
+        witness = witnesses[alias]
         table = ctx.aliases[alias]
         ts = ctx.schema.table(table)
         terms = [bound.ds[v] for v in sorted(witness.var_scale) if v in bound.ds]
@@ -470,8 +480,22 @@ def _fmt(v: float) -> str:
     return f"({body})" if v < 0 else body
 
 
-def render(e: ScalarExpr) -> str:
-    """PostgreSQL-compatible rendering (exp, abs, greatest, ^, case-when)."""
+def render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]] | None = None) -> str:
+    """PostgreSQL-compatible rendering (exp, abs, greatest, ^, case-when).
+
+    `memo` maps id(node) to (node, text) for the nodes already rendered, so a
+    subtree shared by several terms is rendered once; holding the node keeps
+    its id from being reused while the memo lives.  Pass one memo to the
+    render calls of one statement."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(e))
+    if hit is None:
+        hit = memo[id(e)] = (e, _render(e, memo))
+    return hit[1]
+
+
+def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
     if isinstance(e, Const):
         return _fmt(e.value)
     if isinstance(e, Col):
@@ -479,37 +503,37 @@ def render(e: ScalarExpr) -> str:
     if isinstance(e, Opaque):
         return e.sql
     if isinstance(e, Sum):
-        out = render(e.children[0])
+        out = render(e.children[0], memo)
         for c in e.children[1:]:
             if isinstance(c, Const) and c.value < 0:
                 out = f"({out} - {_fmt(-c.value)})"
             else:
-                out = f"({out} + {render(c)})"
+                out = f"({out} + {render(c, memo)})"
         return out
     if isinstance(e, Prod):
-        out = render(e.children[0])
+        out = render(e.children[0], memo)
         for c in e.children[1:]:
-            out = f"({out} * {render(c)})"
+            out = f"({out} * {render(c, memo)})"
         return out
     if isinstance(e, Div):
-        return f"({render(e.num)} / {render(e.den)})"
+        return f"({render(e.num, memo)} / {render(e.den, memo)})"
     if isinstance(e, Power):
-        return f"({render(e.child)} ^ {_fmt(e.r)})"
+        return f"({render(e.child, memo)} ^ {_fmt(e.r)})"
     if isinstance(e, Exp):
-        return f"exp({render(mul(Const(e.rate), e.child))})"
+        return f"exp({render(mul(Const(e.rate), e.child), memo)})"
     if isinstance(e, Ln):
-        return f"ln({render(e.child)})"
+        return f"ln({render(e.child, memo)})"
     # The sigmoid and tauoid forms keep every exp() argument at most 709, so
     # none overflows in any SQL engine (exp(709) is below the largest double).
     if isinstance(e, Sigmoid):
-        un = render(mul(Const(-e.alpha), e.child))
+        un = render(mul(Const(-e.alpha), e.child), memo)
         return f"(1.0 / (exp(least({un}, 709.0)) + 1.0))"
     if isinstance(e, SigmoidDeriv):
-        z = f"exp(-abs({render(mul(Const(e.alpha), e.child))}))"
+        z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
         return f"(({_fmt(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
     if isinstance(e, (Tauoid, TauoidDeriv)):
         # z = exp(-|u|) in (0, 1], as in exprs._tauoid and _tauoid_deriv
-        u = render(mul(Const(e.alpha), e.child))
+        u = render(mul(Const(e.alpha), e.child), memo)
         z = f"exp(-abs({u}))"
         z2 = f"({z} ^ 2.0)"
         if isinstance(e, Tauoid):
@@ -517,35 +541,35 @@ def render(e: ScalarExpr) -> str:
         a2 = f"case when ({u} >= 0.0) then {_fmt(-2.0 * e.alpha)} else {_fmt(2.0 * e.alpha)} end"
         return f"((({a2}) * {z} * (1.0 - {z2})) / ((1.0 + {z2}) ^ 2.0))"
     if isinstance(e, Min):
-        return "least(" + ", ".join(render(c) for c in e.children) + ")"
+        return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
     if isinstance(e, Max):
-        return "greatest(" + ", ".join(render(c) for c in e.children) + ")"
+        return "greatest(" + ", ".join(render(c, memo) for c in e.children) + ")"
     if isinstance(e, LpNorm):
         if len(e.children) == 1:
-            inner = f"abs({render(e.children[0])})"
+            inner = f"abs({render(e.children[0], memo)})"
             return inner if e.p != INF else inner
         if e.p == INF:
-            return "greatest(" + ", ".join(f"abs({render(c)})" for c in e.children) + ")"
+            return "greatest(" + ", ".join(f"abs({render(c, memo)})" for c in e.children) + ")"
         if e.p == 1.0:
-            out = f"abs({render(e.children[0])})"
+            out = f"abs({render(e.children[0], memo)})"
             for c in e.children[1:]:
-                out = f"({out} + abs({render(c)}))"
+                out = f"({out} + abs({render(c, memo)}))"
             return out
-        terms = [f"(abs({render(c)}) ^ {_fmt(e.p)})" for c in e.children]
+        terms = [f"(abs({render(c, memo)}) ^ {_fmt(e.p)})" for c in e.children]
         out = terms[0]
         for t in terms[1:]:
             out = f"({out} + {t})"
         return f"({out} ^ {_fmt(1.0 / e.p)})"
     if isinstance(e, ScaleNorm):
-        return render(e.child)
+        return render(e.child, memo)
     if isinstance(e, IfGE):
         return (
-            f"case when ({render(e.test)} >= {render(e.threshold)}) "
-            f"then {render(e.if_true)} else {render(e.if_false)} end"
+            f"case when ({render(e.test, memo)} >= {render(e.threshold, memo)}) "
+            f"then {render(e.if_true, memo)} else {render(e.if_false, memo)} end"
         )
     if isinstance(e, IfNonzero):
-        g = render(e.guard)
-        return f"case when ({g} = 0.0) then 0.0 else ({g} * {render(e.factor)}) end"
+        g = render(e.guard, memo)
+        return f"case when ({g} = 0.0) then 0.0 else ({g} * {render(e.factor, memo)}) end"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 
@@ -579,9 +603,10 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     froms = _from_clause(ctx)
     pubs = _public_conjuncts(ctx)
     where = f" WHERE {' AND '.join(pubs)}" if pubs else ""
+    memo: dict[int, tuple[ScalarExpr, str]] = {}  # shared by every render call
 
     agg = plan.aggregator
-    body = render(plan.row_expr)
+    body = render(plan.row_expr, memo)
     if agg == "COUNT" and plan.sigma is None:
         modified = f"SELECT count(*) FROM {froms}{where};"
     elif agg == "COUNT":
@@ -597,7 +622,7 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     if not live and plan.table_plans:
         # keep the group structure with a constant zero per row
         live = plan.table_plans[:1]
-    parts = [_emit_table_sensitivity(plan, tp) for tp in live]
+    parts = [_emit_table_sensitivity(froms, pubs, tp, memo) for tp in live]
     db_p = ctx.schema.database_p
     if not parts:
         sensitivity = "SELECT 0.0;"
@@ -615,17 +640,16 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     return modified, sensitivity
 
 
-def _emit_table_sensitivity(plan: SensitivityPlan, tp: TableSensPlan) -> str:
-    ctx = plan.ctx
+def _emit_table_sensitivity(
+    froms: str, pubs: list[str], tp: TableSensPlan, memo: dict[int, tuple[ScalarExpr, str]]
+) -> str:
     sens_table = f"{tp.table}_sensRows"
-    froms = _from_clause(ctx) + f", {sens_table}"
     join = f"{sens_table}.ID = {tp.alias}.ID"
-    pubs = _public_conjuncts(ctx)
     inner_cond = " AND ".join(pubs + [join])
     where = f"({inner_cond}) AND {sens_table}.sensitive"
     inner = (
-        f"SELECT {tp.group_agg}(abs({render(tp.combined)})) AS sdsg "
-        f"FROM {froms} WHERE {where} GROUP BY {sens_table}.ID"
+        f"SELECT {tp.group_agg}(abs({render(tp.combined, memo)})) AS sdsg "
+        f"FROM {froms}, {sens_table} WHERE {where} GROUP BY {sens_table}.ID"
     )
     if tp.rows_p == 1.0:
         outer_agg = "max(sdsg)"

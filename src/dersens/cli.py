@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -37,13 +38,17 @@ def _read(path: str, what: str) -> str:
     if path is None:
         raise CliError(f"missing required --{what} path")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _load_inputs(args) -> tuple[sf.AnalysisContext, an.SensitivityPlan]:
+    # argparse reads nan and inf as floats, and beta = 0 would divide by zero
+    for flag, value in (("--beta", args.beta), ("--alpha", args.alpha)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise CliError(f"{flag} must be a positive finite number, got {value}")
     try:
         schema = sf.parse_schema(_read(args.schema, "schema"))
         if args.norm:
@@ -173,15 +178,31 @@ def _rel_error(initial: float, modified: float, sens: float) -> float | None:
     return abs((modified + 10.0 * sens) - initial) / abs(initial) * 100.0
 
 
+def _is_strict_json(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def _print_report(report: dict, compact: bool) -> None:
+    """Print the report as strict JSON, which has no NaN or infinity."""
+    try:
+        text = json.dumps(report, indent=None if compact else 2, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in report.items() if not _is_strict_json(v)]
+        raise CliError(f"the report has non-finite values: {', '.join(bad)}") from None
+    print(text)
+
+
 def cmd_run(args) -> int:
-    report = _run_report(args, with_noise=False)
-    print(json.dumps(report, indent=None if args.json else 2))
+    _print_report(_run_report(args, with_noise=False), args.json)
     return EXIT_OK
 
 
 def cmd_privatize(args) -> int:
-    report = _run_report(args, with_noise=True)
-    print(json.dumps(report, indent=None if args.json else 2))
+    _print_report(_run_report(args, with_noise=True), args.json)
     return EXIT_OK
 
 
@@ -201,7 +222,7 @@ def cmd_bench(args) -> int:
     report = _run_report(args, with_noise=False)
     report["rows"] = args.rows
     report["data_dir"] = data_dir
-    print(json.dumps(report, indent=None if args.json else 2))
+    _print_report(report, args.json)
     return EXIT_OK
 
 

@@ -623,6 +623,11 @@ def scale_straightforward(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     """
     nq, ndb = normalize(nq), normalize(ndb)
     _check_var_cover(nq, ndb)
+    return _fit_envelopes(nq, ndb)
+
+
+def _fit_envelopes(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
+    """scale_straightforward on normalized norms."""
     _, q_upper = hammer_bounds(nq)
     db_lower, _ = hammer_bounds(ndb)
     p, q = q_upper.exponent, db_lower.exponent
@@ -644,18 +649,21 @@ def scale_straightforward(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     )
 
 
-def scale_elaborate(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
+def scale_elaborate(nq: NormExpr, ndb: NormExpr, *, normal: bool = False) -> ScalingWitness:
     """Fit nq under ndb by recursive structural matching.
 
     Follows the norm trees top-down, resolving repeated-variable ambiguity
     with a minimum-weight injective matching (edge weight -log of the scaling
     it forces, so the minimum-weight choice maximizes the total scaling).
-    Falls back to the straightforward method when matching fails.
+    Falls back to the straightforward method when matching fails.  With
+    `normal`, ndb is taken as already returned by `normalize`, so a caller
+    fitting many query norms under one declared norm normalizes it once.
     """
-    nnq, nndb = normalize(nq), normalize(ndb)
+    nnq = normalize(nq)
+    nndb = ndb if normal else normalize(ndb)
     _check_var_cover(nnq, nndb)
     matcher = _Matcher()
     factors = matcher.match(nnq, nndb)
     if factors is None:
-        return scale_straightforward(nq, ndb)
+        return _fit_envelopes(nnq, nndb)
     return ScalingWitness(var_scale=dict(sorted(factors.items())), global_scale=1.0)

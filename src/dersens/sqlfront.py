@@ -13,11 +13,12 @@ import contextlib
 import csv
 import math
 import os
+import re
 import warnings
 from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from dersens.norms import NormExpr, NormError, norm_vars, parse_norm
 
@@ -192,76 +193,67 @@ _KEYWORDS = {
     "is", "null", "having", "order", "limit", "union", "join",
 }
 
-_TWO_CHAR = ("<=", ">=", "<>", "!=")
 
-
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # kw, ident, num, str, op
     text: str
     pos: tuple[int, int]
+    low: str  # text.lower(), which the parser's keyword tests read
+
+
+# Whitespace and comments are skipped before each token; then one alternative
+# per token class, in the order they are tried: a quoted string, a number (a
+# digit, or a dot before one), a word (a letter or underscore first) and an
+# operator.  Anything else, an unclosed quote included, is `bad`; the empty
+# alternative ends the text.
+_TOKEN = re.compile(r"""
+    (?:\s|--[^\n]*)*
+    (?: (?P<str>'[^']*')
+      | (?P<num>(?:[0-9]|\.[0-9])(?:[0-9.eE]|(?<=[eE])[+-])*)
+      | (?P<word>[A-Za-z_]\w*)
+      | (?P<op>[<>!]=|<>|[()+\-*/^,.;<>=])
+      | (?P<bad>.)
+      | $ )
+""", re.VERBOSE)
+
+_new_tok = tuple.__new__  # builds a _Tok without NamedTuple's Python-level __new__
+
+
+def _ascii_classes(sql: str) -> str:
+    r"""`sql` with each non-ASCII digit replaced by 0 and each non-ASCII letter
+    by a, so that _TOKEN's ASCII classes decide as str.isdigit and str.isalpha
+    do on the original (its \s and \w are str.isspace and str.isalnum or _
+    already).  Token text is sliced from the original."""
+    if sql.isascii():
+        return sql
+    return sql.translate({ord(c): "0" if c.isdigit() else "a"
+                          for c in set(sql) if not c.isascii() and (c.isdigit() or c.isalpha())})
 
 
 def _lex(sql: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(sql)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if sql[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            advance(1)
-            continue
-        if sql.startswith("--", i):
-            while i < n and sql[i] != "\n":
-                advance(1)
-            continue
-        pos = (line, col)
-        if ch == "'":
-            j = i + 1
-            while j < n and sql[j] != "'":
-                j += 1
-            if j >= n:
+    line, line_start, nl = 1, 0, sql.find("\n")  # nl: the next newline
+    for m in _TOKEN.finditer(_ascii_classes(sql)):
+        kind = m.lastgroup
+        if kind is None:
+            break
+        start, end = m.start(kind), m.end()
+        while 0 <= nl < start:
+            line, line_start, nl = line + 1, nl + 1, sql.find("\n", nl + 1)
+        pos = (line, start - line_start + 1)
+        text = sql[start:end]
+        if kind == "bad":
+            if text == "'":
                 raise ParseError("unterminated string literal", pos)
-            toks.append(_Tok("str", sql[i + 1 : j], pos))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            while j < n and (sql[j].isdigit() or sql[j] in ".eE" or (sql[j] in "+-" and sql[j - 1] in "eE")):
-                j += 1
-            toks.append(_Tok("num", sql[i:j], pos))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            kind = "kw" if word.lower() in _KEYWORDS else "ident"
-            toks.append(_Tok(kind, word, pos))
-            advance(j - i)
-            continue
-        two = sql[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Tok("op", "<>" if two == "!=" else two, pos))
-            advance(2)
-            continue
-        if ch in "()+-*/^,.;<>=":
-            toks.append(_Tok("op", ch, pos))
-            advance(1)
-            continue
-        raise ParseError("unexpected character", pos, ch)
+            raise ParseError("unexpected character", pos, text)
+        if kind == "str":
+            text = text[1:-1]
+        elif text == "!=":
+            text = "<>"
+        low = text.lower()
+        if kind == "word":
+            kind = "kw" if low in _KEYWORDS else "ident"
+        toks.append(_new_tok(_Tok, (kind, text, pos, low)))
     return toks
 
 
@@ -291,7 +283,7 @@ class _Parser:
 
     def _at(self, text: str) -> bool:
         t = self._peek()
-        return t is not None and t.text.lower() == text
+        return t is not None and t.low == text
 
     def _eat(self, text: str) -> bool:
         if self._at(text):
@@ -301,7 +293,7 @@ class _Parser:
 
     def _expect(self, text: str) -> _Tok:
         t = self._next()
-        if t.text.lower() != text:
+        if t.low != text:
             raise ParseError(f"expected '{text}'", t.pos, t.text)
         return t
 
@@ -321,7 +313,7 @@ class _Parser:
         self._eat(";")
         t = self._peek()
         if t is not None:
-            if t.text.lower() in ("group", "having", "order", "limit", "union"):
+            if t.low in ("group", "having", "order", "limit", "union"):
                 raise ParseError(f"{t.text.upper()} is not supported", t.pos, t.text)
             raise ParseError("trailing input after query", t.pos, t.text)
         return QuerySpec(agg, arg, tables, where)
@@ -384,7 +376,7 @@ class _Parser:
         if name == "COUNT" and not self.tolerant:
             # COUNT(col) counts rows; NULLs are out of scope
             if not isinstance(arg, ColRef):
-                t = self._peek() or _Tok("op", "", (0, 0))
+                t = self._peek() or _Tok("op", "", (0, 0), "")
                 raise ParseError("COUNT takes * or a single column", t.pos, t.text)
             return name, None
         return name, arg
@@ -425,7 +417,7 @@ class _Parser:
         args = [left]
         op = None
         while self._at("or") or self._at("xor"):
-            word = self._next().text.lower()
+            word = self._next().low
             if op is None:
                 op = word
             elif op != word:
@@ -469,7 +461,7 @@ class _Parser:
         t = self._peek()
         if t is None:
             return self._bare_bool(lhs)
-        word = t.text.lower()
+        word = t.low
         if t.kind == "op" and t.text in ("<", "<=", ">", ">=", "=", "<>"):
             self._next()
             rhs = self._expr()
@@ -563,7 +555,7 @@ class _Parser:
             e = self._expr()
             self._expect(")")
             return e
-        if t.text.lower() == "case":
+        if t.low == "case":
             self._expect("when")
             cond = self._pred()
             self._expect("then")
@@ -583,7 +575,7 @@ class _Parser:
                     while self._eat(","):
                         args.append(self._expr())
                 self._expect(")")
-                return FuncCall(t.text.lower(), tuple(args))
+                return FuncCall(t.low, tuple(args))
             if self._eat("."):
                 c = self._next()
                 return ColRef(t.text, c.text)
@@ -691,12 +683,25 @@ class TableSchema:
     rows_p: float = 1.0
     norm: NormExpr | None = None
     precisions: dict[str, float] = field(default_factory=dict)
+    # Derived from the fields above by `derive`: the type of each column, the
+    # columns the norm makes sensitive, and the norm over `alias.column`
+    # variables in normal form, which the analyzer fills in once per alias.
+    types: dict[str, str] = field(init=False, repr=False, compare=False)
+    sensitive_columns: frozenset[str] = field(init=False, repr=False, compare=False)
+    normal_norms: dict[str, NormExpr] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.derive()
+
+    def derive(self) -> None:
+        """Recompute the derived facts; parse_schema calls this when it
+        finishes, so they follow a norm a later norm file replaces."""
+        self.types = dict(self.columns)
+        self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
+        self.normal_norms = {}
 
     def column_type(self, col: str) -> str | None:
-        for c, ty in self.columns:
-            if c == col:
-                return ty
-        return None
+        return self.types.get(col)
 
     def column_precision(self, col: str) -> float | None:
         """Grid density k with distinct values at least 1/k apart: 1 for int
@@ -705,10 +710,6 @@ class TableSchema:
         if ty == "int":
             return 1.0
         return self.precisions.get(col)
-
-    @property
-    def sensitive_columns(self) -> frozenset[str]:
-        return norm_vars(self.norm) if self.norm is not None else frozenset()
 
 
 @dataclass
@@ -793,11 +794,12 @@ def _parse_combiner(rest: str) -> float:
 
 def _check_schema(schema: Schema) -> None:
     for t in schema.tables.values():
-        if t.norm is None:
-            continue
-        cols = dict(t.columns)
-        for v in norm_vars(t.norm):
-            ty = cols.get(v)
+        t.derive()
+        if len(t.types) != len(t.columns):
+            dup = next(c for c, k in Counter(c for c, _ in t.columns).items() if k > 1)
+            raise SchemaError(f"table '{t.name}' declares column '{dup}' twice")
+        for v in t.sensitive_columns:
+            ty = t.types.get(v)
             if ty is None:
                 raise SchemaError(f"norm of table '{t.name}' uses unknown column '{v}'")
             if ty == "text":
@@ -1197,13 +1199,12 @@ def validate(query: QuerySpec, schema: Schema) -> AnalysisContext:
             if rr.type == "text":
                 raise SchemaError(f"text column '{rr.name}' cannot appear in the select expression")
 
-    for r in _walk_refs(query.where):
-        _resolve_colref(r, aliases, schema)
     _check_atoms(query.where, aliases, schema)
 
-    conjuncts = _flatten_and(query.where)
-    public = [c for c in conjuncts if not _pred_sensitive(c, aliases, schema)]
-    residual = [c for c in conjuncts if _pred_sensitive(c, aliases, schema)]
+    public: list[Pred] = []
+    residual: list[Pred] = []
+    for c in _flatten_and(query.where):
+        (residual if _pred_sensitive(c, aliases, schema) else public).append(c)
 
     sensitive_aliases = sorted(
         alias for alias, table in aliases.items() if schema.table(table).norm is not None

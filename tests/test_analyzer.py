@@ -18,13 +18,17 @@ from conftest import (
     with_cells,
     write_table,
 )
+from test_norms import _random_norm
 from dersens import analyzer as an
 from dersens import engine as eng
 from dersens import exprs as ex
 from dersens import sqlfront as sf
 from dersens.analyzer import PlanParams, build_plan, emit_sql, lower_aggregation
 from dersens.exprs import Col, Opaque, eval_scalar, finite_diff_ds
-from dersens.norms import Scale, Var, eval_norm, parse_norm
+from dersens.norms import (
+    Combine, Scale, Var, eval_norm, norm_vars, normalize, parse_norm, print_norm, scale_elaborate,
+    scale_straightforward,
+)
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
 
 SOFT_PARAMS = PlanParams(beta=0.1, alpha=0.1)
@@ -139,7 +143,7 @@ def test_product_lowering_neutral_when_all_dropped():
 
 
 def test_align_identity_for_identical_norms():
-    w, _ = an.align_norms(Col("t.a"), "t", parse_norm("lp 1.0 t.a"))
+    w = an.align_norms({"t.a": 1}, "t", normalize(parse_norm("lp 1.0 t.a")))
     assert w.var_scale == {"t.a": 1.0}
     assert w.global_scale == 1.0
 
@@ -157,13 +161,77 @@ def test_align_scaled_column_divides_ds():
 
 
 def test_align_regrouping_needs_no_scaling():
-    w, _ = an.align_norms(
-        ex.LpNorm(2.0, (Col("t.a"), Col("t.b"))),
-        "t",
-        parse_norm("lp 1.0 t.a t.b"),
-    )
+    # the row expression lp2(t.a, t.b) holds each column once
+    w = an.align_norms({"t.a": 1, "t.b": 1}, "t", normalize(parse_norm("lp 1.0 t.a t.b")))
     # one l1 slot per occurrence fits under the flat l1 norm unscaled
     assert all(s == pytest.approx(1.0) for s in w.var_scale.values())
+
+
+def test_schema_normal_form_aligns_as_normalizing_per_query():
+    # oracle: alignment as it was, qualifying and normalizing the declared
+    # norm for every query and alias.  About 2% of the cases take the
+    # straightforward fallback, a few of them where one more normalizing
+    # pass would move a scale.
+    rng = random.Random(11)
+    cols = ["a", "b", "c", "d"]
+    columns = "".join(f"col {c} real\n" for c in cols)
+    for _ in range(3000):
+        norm = _random_norm(rng, cols, rng.randint(0, 3))
+        ts = parse_schema(f"table t\n{columns}norm {print_norm(norm)}\n").tables["t"]
+        alias = rng.choice(["t", "t2", "lineitem", "_x", "Q"])
+        used = sorted(norm_vars(norm))
+        counts = {f"{alias}.{v}": rng.randint(1, 3)
+                  for v in rng.sample(used, rng.randint(1, len(used)))}
+        slots = [Var(v) for v in sorted(counts) for _ in range(counts[v])]
+        nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
+        old_ndb = normalize(an._qualify_norm(norm, alias))
+        ndb = an.table_norm(ts, alias)
+        assert ndb == normalize(old_ndb)
+        assert an.table_norm(ts, alias) is ndb  # once per alias
+        expected = scale_elaborate(nq, old_ndb)
+        if expected.method == "straightforward":
+            expected = scale_straightforward(nq, old_ndb)  # the fallback as it was
+        assert an.align_norms(counts, alias, ndb) == expected
+
+
+def test_schema_facts_follow_a_norm_file():
+    schema = parse_schema("table t\ncol a real\ncol b real\ncol s text\nnorm lp 1.0 a\n")
+    ts = schema.tables["t"]
+    assert ts.sensitive_columns == {"a"} and ts.column_type("s") == "text"
+    assert an.table_norm(ts, "t") == Var("t.a")
+    parse_schema("table t\nnorm lp 1.0 a (scaled 2.0 b)\n", base=schema)
+    assert ts.sensitive_columns == {"a", "b"}
+    assert an.table_norm(ts, "t") == Combine(1.0, (Var("t.a"), Scale(2.0, Var("t.b"))))
+    ctx = validate(parse_query("SELECT sum(t.b) FROM t"), schema)
+    w, = (tp.witness for tp in build_plan(ctx, SOFT_PARAMS).table_plans)
+    assert w.var_scale == {"t.b": 2.0}
+    # a table built without parse_schema derives them as well
+    built = sf.TableSchema("u", [("x", "int"), ("y", "real")], norm=Var("y"))
+    assert built.sensitive_columns == {"y"} and built.column_type("x") == "int"
+
+
+def test_emit_renders_each_shared_node_once(monkeypatch):
+    _, plan = _plan_for(B1_1_SQL, TPCH_MINI_SCHEMA)
+    expected = emit_sql(plan)
+    seen: list[int] = []
+    real = an._render
+
+    def counting(e, memo):
+        seen.append(id(e))
+        return real(e, memo)
+
+    monkeypatch.setattr(an, "_render", counting)
+    assert emit_sql(plan) == expected
+    assert len(seen) == len(set(seen))
+    # the sigmoid of the filter appears in the modified and sensitivity query
+    sigmoids = [e for e in _subtrees(plan.row_expr) if isinstance(e, ex.Sigmoid)]
+    assert sigmoids and all(seen.count(id(e)) == 1 for e in sigmoids)
+
+
+def _subtrees(e):
+    yield e
+    for c in ex._subexprs(e):
+        yield from _subtrees(c)
 
 
 def test_b1_5_per_row_sensitivity_formula():

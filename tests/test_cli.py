@@ -102,6 +102,47 @@ def test_run_unreadable_data_exits_1(b1_1_inputs, capsys, old, new):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "privatize", "bench"])
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "nan"), ("--beta", "inf"), ("--beta", "-0.1"), ("--beta", "0"),
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "0"),
+])
+def test_bad_beta_or_alpha_exits_1(b1_1_inputs, capsys, tmp_path, command, flag, value):
+    query, schema, data = b1_1_inputs
+    args = [command, "--query", query, "--schema", schema]
+    if command == "bench":
+        args = ["bench", "--rows", "20", "--data", str(tmp_path / "bench")]
+    elif command != "analyze":
+        args += ["--data", data]
+    code = main([*args, "--json", f"{flag}={value}"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == "" and f"{flag} must be a positive finite number" in out.err
+
+
+@pytest.mark.parametrize("which", ["schema", "query", "norm"])
+def test_analyze_input_file_not_utf8_exits_1(b1_1_inputs, capsys, tmp_path, which):
+    query, schema, _ = b1_1_inputs
+    paths = {"schema": schema, "query": query, "norm": _write(tmp_path / "norm.txt", "")}
+    with open(paths[which], "ab") as fh:
+        fh.write(b"\n-- \xff\n")
+    code = main(["analyze", "--query", query, "--schema", schema, "--norm", paths["norm"]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"cannot read {which} file {paths[which]}" in err and "utf-8" in err
+
+
+def test_run_report_with_a_non_finite_value_exits_1(b1_1_inputs, capsys):
+    # a filter this steep on a column of scale 0.0001 gives beta_achieved = inf
+    query, schema, data = b1_1_inputs
+    _write(query, "SELECT count(*) FROM lineitem WHERE lineitem.l_extendedprice < 500.5")
+    code = main(["run", "--query", query, "--schema", schema, "--data", data,
+                 "--alpha", "1e308", "--json"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == "" and "non-finite values: achieved_beta" in out.err
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = main(["analyze", "--query", str(tmp_path / "nope.sql"),
                  "--schema", str(tmp_path / "nope.txt")])

@@ -2,11 +2,16 @@ import csv
 import math
 import os
 import random
+import re
+import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lex_oracle
 from conftest import LINEITEM_SCHEMA, LINEITEM_COLS, lineitem_row, write_table
 from dersens import sqlfront as sf
 from dersens.norms import Combine, Scale, Var
@@ -117,6 +122,56 @@ def test_count_column_counts_rows():
 
 
 # ---------------------------------------------------------------------------
+# lexer: the compiled regular expression against the character-by-character
+# lexer it replaced (tests/lex_oracle.py)
+# ---------------------------------------------------------------------------
+
+# Pieces the generated strings are made of, besides arbitrary characters:
+# comments, newlines, `!=`, numbers with signed exponents, quotes that may
+# not close, and Unicode digits, letters, numerics and spaces.
+_LEX_PIECES = [
+    "select", "SUM", "from", "t.x", "_a1", "xor", "(", ")", ",", ";", ".", "*", "/", "^",
+    "+", "-", "=", "<", ">", "<=", ">=", "<>", "!=", "!", "--", "-- note\n", "\n", "\r",
+    "\t", " ", "'", "'it''s'", "'a\nb'", "1e+5.2", "2E-3", ".5", "7.", "e", "E", "1_0",
+    "\u00b2", "\u00e9", "\u00c9", "\u00bd", "\u216b", "\u0661", "\u2460", "\u212a",
+    "\u0130", "\u00a0", "\u2028", "\u3000", "\x1c", "\x00", "#", "$", "\u00df",
+]
+
+
+def _lexed(lex, sql):
+    try:
+        return [tuple(t)[:3] for t in lex(sql)]
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(_LEX_PIECES), st.characters()), max_size=24)
+       .map("".join))
+def test_lexer_matches_the_character_lexer(sql):
+    assert _lexed(sf._lex, sql) == _lexed(lex_oracle.lex, sql)
+
+
+def test_lexer_positions_and_errors():
+    sql = "SELECT x\n  -- c\n\u00e9 != 'a\nb' 1e+5.2 \u00b2"
+    assert _lexed(sf._lex, sql) == [
+        ("kw", "SELECT", (1, 1)), ("ident", "x", (1, 8)), ("ident", "\u00e9", (3, 1)),
+        ("op", "<>", (3, 3)), ("str", "a\nb", (3, 6)), ("num", "1e+5.2", (4, 4)),
+        ("num", "\u00b2", (4, 11)),
+    ]
+    assert _lexed(sf._lex, "x\n 'open") == "unterminated string literal at line 2, column 2"
+    assert _lexed(sf._lex, "a \u00bd") == "unexpected character at line 1, column 3 near '\u00bd'"
+
+
+def test_regex_classes_are_the_str_predicates_the_lexer_used():
+    # _TOKEN reads \s and \w where the character lexer read str.isspace and
+    # str.isalnum() or "_"
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", chars)) == {c for c in chars if c.isspace()}
+    assert set(re.findall(r"\w", chars)) == {c for c in chars if c.isalnum() or c == "_"}
+
+
+# ---------------------------------------------------------------------------
 # print / parse round trip
 # ---------------------------------------------------------------------------
 
@@ -194,6 +249,11 @@ def test_parse_schema_table_without_norm_is_insensitive():
 def test_parse_schema_rejects_text_column_in_norm():
     with pytest.raises(SchemaError, match="text"):
         parse_schema("table r\ncol r_name text\nnorm lp 1.0 r_name\n")
+
+
+def test_parse_schema_rejects_a_column_declared_twice():
+    with pytest.raises(SchemaError, match="declares column 'a' twice"):
+        parse_schema("table t\ncol a int\ncol b real\ncol a text\n")
 
 
 def test_parse_schema_rejects_unknown_norm_column():

@@ -322,15 +322,11 @@ def _qualify_norm(n: NormExpr, alias: str) -> NormExpr:
 
 
 def table_norm(ts: sf.TableSchema, alias: str) -> NormExpr:
-    """The declared norm of `ts` over `alias.column` variables, in the normal
-    form norm alignment fits against; computed once per alias and kept on the
-    schema."""
+    """The declared norm of `ts` over `alias.column` variables, normalized;
+    computed once per alias and kept on the schema."""
     ndb = ts.normal_norms.get(alias)
     if ndb is None:
-        # normalize is not idempotent: each pass recomputes the scale a of a
-        # lone variable under an lp block as (a^p)^(1/p), which for 1 < p < inf
-        # can move it by an ulp; the witnesses are fitted to the second pass
-        ndb = ts.normal_norms[alias] = normalize(normalize(_qualify_norm(ts.norm, alias)))
+        ndb = ts.normal_norms[alias] = normalize(_qualify_norm(ts.norm, alias))
     return ndb
 
 
@@ -361,7 +357,7 @@ def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWit
     if not slots:
         return ScalingWitness(var_scale={}, global_scale=1.0)
     nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
-    return scale_elaborate(nq, ndb, normal=True)
+    return scale_elaborate(nq, ndb)
 
 
 # ---------------------------------------------------------------------------

@@ -649,18 +649,15 @@ def _fit_envelopes(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     )
 
 
-def scale_elaborate(nq: NormExpr, ndb: NormExpr, *, normal: bool = False) -> ScalingWitness:
+def scale_elaborate(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     """Fit nq under ndb by recursive structural matching.
 
     Follows the norm trees top-down, resolving repeated-variable ambiguity
     with a minimum-weight injective matching (edge weight -log of the scaling
     it forces, so the minimum-weight choice maximizes the total scaling).
-    Falls back to the straightforward method when matching fails.  With
-    `normal`, ndb is taken as already returned by `normalize`, so a caller
-    fitting many query norms under one declared norm normalizes it once.
+    Falls back to the straightforward method when matching fails.
     """
-    nnq = normalize(nq)
-    nndb = ndb if normal else normalize(ndb)
+    nnq, nndb = normalize(nq), normalize(ndb)
     _check_var_cover(nnq, nndb)
     matcher = _Matcher()
     factors = matcher.match(nnq, nndb)

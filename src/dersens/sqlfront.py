@@ -694,8 +694,8 @@ class TableSchema:
         self.derive()
 
     def derive(self) -> None:
-        """Recompute the derived facts; parse_schema calls this when it
-        finishes, so they follow a norm a later norm file replaces."""
+        """Recompute the derived facts; parse_schema calls this on every
+        table when it finishes, so they follow a norm a norm file replaces."""
         self.types = dict(self.columns)
         self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
         self.normal_norms = {}
@@ -733,6 +733,18 @@ def parse_schema(text: str, base: Schema | None = None) -> Schema:
     a separate norm file overriding the schema's defaults).
     """
     schema = base if base is not None else Schema()
+    try:
+        _apply_schema_lines(text, schema)
+    finally:
+        # also when a line fails partway through amending `base`, so its
+        # facts never describe a norm it no longer has
+        for t in schema.tables.values():
+            t.derive()
+    _check_schema(schema)
+    return schema
+
+
+def _apply_schema_lines(text: str, schema: Schema) -> None:
     current: TableSchema | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -776,8 +788,6 @@ def parse_schema(text: str, base: Schema | None = None) -> Schema:
                 raise SchemaError(f"unknown schema directive '{word}'")
         except (SchemaError, NormError) as exc:
             raise SchemaError(f"line {lineno}: {exc}") from None
-    _check_schema(schema)
-    return schema
 
 
 def _parse_combiner(rest: str) -> float:
@@ -794,7 +804,6 @@ def _parse_combiner(rest: str) -> float:
 
 def _check_schema(schema: Schema) -> None:
     for t in schema.tables.values():
-        t.derive()
         if len(t.types) != len(t.columns):
             dup = next(c for c, k in Counter(c for c, _ in t.columns).items() if k > 1)
             raise SchemaError(f"table '{t.name}' declares column '{dup}' twice")

@@ -186,7 +186,7 @@ def test_schema_normal_form_aligns_as_normalizing_per_query():
         nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
         old_ndb = normalize(an._qualify_norm(norm, alias))
         ndb = an.table_norm(ts, alias)
-        assert ndb == normalize(old_ndb)
+        assert ndb == old_ndb
         assert an.table_norm(ts, alias) is ndb  # once per alias
         expected = scale_elaborate(nq, old_ndb)
         if expected.method == "straightforward":
@@ -208,6 +208,21 @@ def test_schema_facts_follow_a_norm_file():
     # a table built without parse_schema derives them as well
     built = sf.TableSchema("u", [("x", "int"), ("y", "real")], norm=Var("y"))
     assert built.sensitive_columns == {"y"} and built.column_type("x") == "int"
+
+
+def test_schema_facts_follow_a_norm_file_that_fails():
+    schema = parse_schema("table t\ncol a real\ncol b real\nnorm lp 1.0 a\n")
+    ts = schema.tables["t"]
+    ctx = validate(parse_query("SELECT sum(t.a) FROM t"), schema)
+    build_plan(ctx, SOFT_PARAMS)  # fills the per-alias normal form
+    with pytest.raises(sf.SchemaError, match="line 3"):
+        parse_schema("table t\nnorm lp 1.0 (scaled 2.0 b)\nbogus\n", base=schema)
+    # the norm line took effect; every fact derived from the norm follows it
+    assert ts.sensitive_columns == {"b"}
+    assert an.table_norm(ts, "t") == Scale(2.0, Var("t.b"))
+    ctx = validate(parse_query("SELECT sum(t.b) FROM t"), schema)
+    w, = (tp.witness for tp in build_plan(ctx, SOFT_PARAMS).table_plans)
+    assert w.var_scale == {"t.b": 2.0}
 
 
 def test_emit_renders_each_shared_node_once(monkeypatch):

@@ -140,7 +140,7 @@ def test_run_report_with_a_non_finite_value_exits_1(b1_1_inputs, capsys):
                  "--alpha", "1e308", "--json"])
     out = capsys.readouterr()
     assert code == 1
-    assert out.out == "" and "non-finite values: achieved_beta" in out.err
+    assert out.out == "" and "the report has a non-finite value" in out.err
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -16,7 +16,6 @@ from dersens.analyzer import (
 )
 from dersens.engine import (
     EngineError,
-    evaluate_emitted,
     run_initial,
     run_modified,
     run_sensitivity,
@@ -28,9 +27,7 @@ from dersens.exprs import (
     ScalarExpr,
     SmoothBound,
     combine_ds,
-    ds_expr,
     eval_scalar,
-    finite_diff_ds,
     smooth_bound,
 )
 from dersens.mechanism import (

@@ -16,6 +16,7 @@ quantifies over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from dersens import exprs as ex
@@ -101,6 +102,12 @@ class PlanParams:
     alpha: float = 5.0
     precise_ints: bool = False
     or_as_xor: bool = False
+
+    def __post_init__(self):
+        for name in ("beta", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -45,20 +44,21 @@ def _read(path: str, what: str) -> str:
 
 
 def _load_inputs(args) -> tuple[sf.AnalysisContext, an.SensitivityPlan]:
-    # argparse reads nan and inf as floats, and beta = 0 would divide by zero
-    for flag, value in (("--beta", args.beta), ("--alpha", args.alpha)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise CliError(f"{flag} must be a positive finite number, got {value}")
+    # argparse reads nan and inf as floats; PlanParams rejects them, naming
+    # the field, which is the flag's name
+    try:
+        params = an.PlanParams(
+            beta=args.beta, alpha=args.alpha,
+            precise_ints=args.precise, or_as_xor=args.xor,
+        )
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from None
     try:
         schema = sf.parse_schema(_read(args.schema, "schema"))
         if args.norm:
             schema = sf.parse_schema(_read(args.norm, "norm"), base=schema)
         query = sf.parse_query(_read(args.query, "query"))
         ctx = sf.validate(query, schema)
-        params = an.PlanParams(
-            beta=args.beta, alpha=args.alpha,
-            precise_ints=args.precise, or_as_xor=args.xor,
-        )
         plan = an.build_plan(ctx, params)
     except (sf.ParseError, sf.SchemaError, NormError, AnalysisError) as exc:
         raise CliError(str(exc)) from None

@@ -15,9 +15,8 @@ raised exactly for rows a tree walk would evaluate.  Aggregation is exact
 (`math.fsum`, ordered products and ordered per-group accumulation), so
 repeated runs are bit-identical.
 
-A separate row-at-a-time interpreter re-evaluates emitted SQL text read
-back through the tolerant parser, which gives an independent route for
-checking `run_sensitivity` against `emit_sql`.
+The engine does not run emitted SQL; the tests run it on sqlite3 and
+compare it with `run_modified` and `run_sensitivity`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product as iproduct
 from typing import Callable, Mapping
 
 import numpy as np
@@ -56,9 +54,10 @@ from dersens.exprs import (
     Tauoid,
     TauoidDeriv,
     checked_fsum,
+    dual_exponent,
     eval_scalar,  # re-exported: the row-at-a-time oracle of the compiled path
 )
-from dersens.norms import INF
+from dersens.norms import INF, lp_norm
 from dersens.sqlfront import (
     AnalysisContext,
     BinOp,
@@ -68,7 +67,6 @@ from dersens.sqlfront import (
     Cmp,
     ColRef,
     Database,
-    EmittedSelect,
     FuncCall,
     LikePred,
     NotPred,
@@ -76,7 +74,6 @@ from dersens.sqlfront import (
     Pred,
     SqlExpr,
     StrLit,
-    SubQuery,
     TruePred,
 )
 
@@ -85,7 +82,6 @@ __all__ = [
     "GroupBreakdown",
     "Relation",
     "eval_scalar",
-    "evaluate_emitted",
     "public_rows",
     "run_initial",
     "run_modified",
@@ -97,11 +93,8 @@ class EngineError(RuntimeError):
     pass
 
 
-Env = dict[str, object]
-
-
 # ---------------------------------------------------------------------------
-# Row semantics shared by the columnar engine and the emitted-SQL interpreter
+# Row semantics of the SQL subset, shared with the tests' nested-loop oracle
 # ---------------------------------------------------------------------------
 
 
@@ -168,88 +161,6 @@ def _cmp(op: str, a, b) -> bool:
     if op == "<>":
         return a != b
     raise EngineError(f"unknown comparison '{op}'")
-
-
-def _lookup(env: Env, ref: ColRef):
-    if ref.table:
-        key = ref.name
-        if key in env:
-            return env[key]
-        raise EngineError(f"no column '{key}' in row")
-    if ref.column in env:
-        return env[ref.column]
-    hits = [k for k in env if k.endswith("." + ref.column)]
-    if len(hits) == 1:
-        return env[hits[0]]
-    if not hits:
-        raise EngineError(f"no column '{ref.column}' in row")
-    raise EngineError(f"ambiguous column '{ref.column}' in row")
-
-
-def _eval_side(e: SqlExpr, env: Env, subcache: dict | None = None, db=None):
-    if isinstance(e, Number):
-        return e.value
-    if isinstance(e, StrLit):
-        return e.value
-    if isinstance(e, ColRef):
-        return _lookup(env, e)
-    if isinstance(e, BinOp):
-        a = _eval_side(e.lhs, env, subcache, db)
-        b = _eval_side(e.rhs, env, subcache, db)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise EngineError("division by zero")
-            return a / b
-        if e.op == "^":
-            return _pow(a, b)
-    if isinstance(e, FuncCall):
-        return _call(e.name, *(_eval_side(a, env, subcache, db) for a in e.args))
-    if isinstance(e, CaseWhen):
-        if eval_pred_bool(e.cond, env, subcache, db):
-            return _eval_side(e.then, env, subcache, db)
-        return _eval_side(e.other, env, subcache, db)
-    if isinstance(e, SubQuery):
-        if db is None:
-            raise EngineError("subquery outside emitted-query evaluation")
-        if subcache is None:
-            subcache = {}
-        key = id(e.query)
-        if key not in subcache:
-            subcache[key] = evaluate_emitted(e.query, db, _subcache=subcache)
-        return subcache[key]
-    raise EngineError(f"cannot evaluate {type(e).__name__}")
-
-
-def eval_pred_bool(p: Pred, env: Env, subcache: dict | None = None, db=None) -> bool:
-    """Exact boolean semantics of the predicate subset."""
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, Cmp):
-        a = _eval_side(p.lhs, env, subcache, db)
-        b = _eval_side(p.rhs, env, subcache, db)
-        return _cmp(p.op, a, b)
-    if isinstance(p, LikePred):
-        val = _lookup(env, p.col)
-        hit = bool(_like_regex(p.pattern).match(str(val)))
-        return not hit if p.negated else hit
-    if isinstance(p, BoolCol):
-        return bool(_lookup(env, p.col))
-    if isinstance(p, NotPred):
-        return not eval_pred_bool(p.arg, env, subcache, db)
-    if isinstance(p, BoolOp):
-        vals = [eval_pred_bool(a, env, subcache, db) for a in p.args]
-        if p.op == "and":
-            return all(vals)
-        if p.op == "or":
-            return any(vals)
-        return sum(vals) % 2 == 1
-    raise EngineError(f"cannot evaluate predicate {type(p).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -823,123 +734,5 @@ def run_sensitivity(
 
 def _dual_norm(values: list[float], p: float) -> float:
     """The norm dual to lp of non-negative values: their max for p = 1, their
-    sum for p = inf, their lq norm, q = p / (p - 1), otherwise.  Where the
-    powers overflow, the lq norm is taken of the values scaled by their max,
-    so that a result within range comes out finite."""
-    if not values:
-        return 0.0
-    if p == 1.0:
-        return max(values)
-    if p == INF:
-        return math.fsum(values)
-    q = p / (p - 1.0)
-    try:
-        return math.fsum(v**q for v in values) ** (1.0 / q)
-    except OverflowError:
-        top = max(values)
-        return top * math.fsum((v / top) ** q for v in values) ** (1.0 / q)
-
-
-# ---------------------------------------------------------------------------
-# Independent interpreter for emitted SQL
-# ---------------------------------------------------------------------------
-
-_AGG_FUNCS = ("sum", "count", "min", "max", "avg")
-
-
-def _table_envs(db: Database, table: str, alias: str) -> list[Env]:
-    """One env per row, holding Python floats and strs (not numpy scalars)."""
-    td = db.table(table)
-    names = [f"{alias}.{c}" for c in td.columns] + [f"{alias}.ID", f"{alias}.__sens__"]
-    values = [a.tolist() for a in (*td.columns.values(), td.ids, td.sensitive)]
-    return [dict(zip(names, row)) for row in zip(*values)]
-
-
-def _emitted_source_rows(es: EmittedSelect, db: Database, subcache: dict) -> list[Env]:
-    if es.sub is not None:
-        sub_rows = _emitted_result_rows(es.sub, db, subcache)
-        alias = es.sub_alias or "sub"
-        return [{f"{alias}.{k}": v for k, v in r.items()} | dict(r) for r in sub_rows]
-    streams = []
-    for table, alias in es.tables:
-        if table.endswith("_sensRows"):
-            base = table[: -len("_sensRows")]
-            td = db.table(base)
-            envs = [
-                {f"{alias}.ID": i, f"{alias}.sensitive": s}
-                for i, s in zip(td.ids.tolist(), td.sensitive.tolist())
-            ]
-        else:
-            envs = _table_envs(db, table, alias)
-        streams.append(envs)
-    out = []
-    for combo in iproduct(*streams):
-        env: Env = {}
-        for part in combo:
-            env.update(part)
-        out.append(env)
-    return out
-
-
-def _contains_agg(e: SqlExpr) -> bool:
-    if isinstance(e, FuncCall):
-        if e.name in _AGG_FUNCS:
-            return True
-        return any(_contains_agg(a) for a in e.args)
-    if isinstance(e, BinOp):
-        return _contains_agg(e.lhs) or _contains_agg(e.rhs)
-    return False
-
-
-def _eval_agg(e: SqlExpr, rows: list[Env], db: Database, subcache: dict) -> float:
-    if isinstance(e, FuncCall) and e.name in _AGG_FUNCS:
-        if e.name == "count":
-            return float(len(rows))
-        vals = [float(_eval_side(e.args[0], env, subcache, db)) for env in rows]
-        if e.name == "sum":
-            return math.fsum(vals)
-        if e.name == "avg":
-            return math.fsum(vals) / len(vals) if vals else 0.0
-        if not vals:
-            raise EngineError(f"{e.name} over an empty group")
-        return min(vals) if e.name == "min" else max(vals)
-    if isinstance(e, BinOp):
-        a = _eval_agg(e.lhs, rows, db, subcache)
-        b = _eval_agg(e.rhs, rows, db, subcache)
-        return _eval_side(BinOp(e.op, Number(a), Number(b)), {}, subcache, db)
-    if isinstance(e, FuncCall):
-        args = [Number(_eval_agg(a, rows, db, subcache)) for a in e.args]
-        return float(_eval_side(FuncCall(e.name, tuple(args)), {}, subcache, db))
-    if _contains_agg(e):
-        raise EngineError("aggregate nested in an unsupported position")
-    if isinstance(e, (Number, SubQuery)):
-        return float(_eval_side(e, {}, subcache, db))
-    if rows:
-        return float(_eval_side(e, rows[0], subcache, db))
-    raise EngineError("non-aggregate select over an empty row set")
-
-
-def _emitted_result_rows(es: EmittedSelect, db: Database, subcache: dict) -> list[dict[str, float]]:
-    rows = _emitted_source_rows(es, db, subcache)
-    rows = [r for r in rows if eval_pred_bool(es.where, r, subcache, db)]
-    name = es.out_name or "value"
-    if es.group_by is None:
-        return [{name: _eval_agg(es.select, rows, db, subcache)}]
-    grouped: dict[object, list[Env]] = {}
-    for r in rows:
-        grouped.setdefault(_lookup(r, es.group_by), []).append(r)
-    out = []
-    for key in sorted(grouped, key=str):
-        out.append({name: _eval_agg(es.select, grouped[key], db, subcache)})
-    return out
-
-
-def evaluate_emitted(es: EmittedSelect, db: Database, _subcache: dict | None = None) -> float:
-    """Scalar result of an emitted query, interpreted from its parsed text."""
-    subcache = _subcache if _subcache is not None else {}
-    if es.sub is None and not es.tables:
-        return float(_eval_agg(es.select, [], db, subcache))
-    rows = _emitted_result_rows(es, db, subcache)
-    if len(rows) != 1:
-        raise EngineError("top-level query must produce one row")
-    return float(next(iter(rows[0].values())))
+    sum for p = inf, their lq norm, q = p / (p - 1), otherwise."""
+    return lp_norm(values, dual_exponent(p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 INF = math.inf
 
@@ -87,12 +87,25 @@ def eval_norm(n: NormExpr, assignment: Mapping[str, float]) -> float:
             raise NormError(f"no binding for norm variable '{n.name}'") from None
     if isinstance(n, Scale):
         return n.factor * eval_norm(n.child, assignment)
-    vals = [eval_norm(c, assignment) for c in n.children]
-    if n.p == INF:
-        return max(vals)
-    if n.p == 1.0:
-        return math.fsum(vals)
-    return math.fsum(v**n.p for v in vals) ** (1.0 / n.p)
+    return lp_norm([eval_norm(c, assignment) for c in n.children], n.p)
+
+
+def lp_norm(values: Sequence[float], p: float) -> float:
+    """The lp norm of non-negative values: their max for p = inf, their sum
+    for p = 1, 0.0 for none.  Where the powers overflow, the norm is taken of
+    the values scaled by their max, so that a result within range comes out
+    finite."""
+    if not values:
+        return 0.0
+    if p == INF:
+        return max(values)
+    if p == 1.0:
+        return math.fsum(values)
+    try:
+        return math.fsum(v**p for v in values) ** (1.0 / p)
+    except OverflowError:
+        top = max(values)
+        return top * math.fsum((v / top) ** p for v in values) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +288,7 @@ def _normalize_pushed(n: NormExpr) -> NormExpr:
             rest.append(c)
     merged: list[NormExpr] = []
     for name, coefs in by_var.items():
-        if n.p == INF:
-            a = max(coefs)
-        elif n.p == 1.0:
-            a = math.fsum(coefs)
-        else:
-            a = math.fsum(c**n.p for c in coefs) ** (1.0 / n.p)
+        a = lp_norm(coefs, n.p)
         merged.append(Var(name) if abs(a - 1.0) <= _EPS else Scale(a, Var(name)))
     out = sorted(merged + rest, key=_leaf_key)
     if len(out) == 1:
@@ -331,13 +339,7 @@ def _merge_coeffs(occ: list[tuple[str, float]], p: float) -> dict[str, float]:
     groups: dict[str, list[float]] = {}
     for v, a in occ:
         groups.setdefault(v, []).append(a)
-    out = {}
-    for v, coefs in groups.items():
-        if p == INF:
-            out[v] = max(coefs)
-        else:
-            out[v] = math.fsum(a**p for a in coefs) ** (1.0 / p)
-    return out
+    return {v: lp_norm(coefs, p) for v, coefs in groups.items()}
 
 
 def hammer_bounds(n: NormExpr) -> tuple[HammerBound, HammerBound]:

@@ -198,7 +198,9 @@ class _Tok(NamedTuple):
     kind: str  # kw, ident, num, str, op
     text: str
     pos: tuple[int, int]
-    low: str  # text.lower(), which the parser's keyword tests read
+    # text.lower(), which the parser's keyword and punctuation tests read;
+    # empty for a string literal, so that quoted text matches none of them
+    low: str
 
 
 # Whitespace and comments are skipped before each token; then one alternative
@@ -250,7 +252,7 @@ def _lex(sql: str) -> list[_Tok]:
             text = text[1:-1]
         elif text == "!=":
             text = "<>"
-        low = text.lower()
+        low = "" if kind == "str" else text.lower()
         if kind == "word":
             kind = "kw" if low in _KEYWORDS else "ident"
         toks.append(_new_tok(_Tok, (kind, text, pos, low)))
@@ -360,7 +362,7 @@ class _Parser:
     def _aggregate(self) -> tuple[str, SqlExpr | None]:
         t = self._next()
         name = t.text.upper()
-        if name not in AGGREGATORS:
+        if t.kind == "str" or name not in AGGREGATORS:
             raise ParseError(
                 f"unsupported aggregator '{t.text}' (supported: {', '.join(AGGREGATORS)})",
                 t.pos,

@@ -45,10 +45,8 @@ from dersens.exprs import (
     Sum,
     Tauoid,
     TauoidDeriv,
-    ds_expr,
     eval_scalar,
     expr_vars,
-    finite_diff_ds,
     smooth_bound,
 )
 from dersens.mechanism import GenCauchy, NoiseParams, derive_b
@@ -64,6 +62,7 @@ from dersens.norms import (
     scale_straightforward,
 )
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
+from ds_oracles import ds_expr, finite_diff_ds
 from privacy_oracles import ddp_check
 
 X, Y = Col("x"), Col("y")

@@ -18,13 +18,15 @@ from conftest import (
     with_cells,
     write_table,
 )
+from ds_oracles import finite_diff_ds
+from sqlite_exec import sqlite_value, strict_sqlite
 from test_norms import _random_norm
 from dersens import analyzer as an
 from dersens import engine as eng
 from dersens import exprs as ex
 from dersens import sqlfront as sf
 from dersens.analyzer import PlanParams, build_plan, emit_sql, lower_aggregation
-from dersens.exprs import Col, Opaque, eval_scalar, finite_diff_ds
+from dersens.exprs import Col, Opaque, eval_scalar
 from dersens.norms import (
     Combine, Scale, Var, eval_norm, norm_vars, normalize, parse_norm, print_norm, scale_elaborate,
     scale_straightforward,
@@ -395,8 +397,9 @@ def test_emitted_sql_reparses_and_reevaluates(lineitem_db):
         ctx = validate(parse_query(sql), schema)
         plan = build_plan(ctx, SOFT_PARAMS)
         modified, sensitivity = emit_sql(plan)
-        rt_mod = eng.evaluate_emitted(sf.parse_emitted(modified), db)
-        rt_sens = eng.evaluate_emitted(sf.parse_emitted(sensitivity), db)
+        con = strict_sqlite(db)
+        rt_mod = sqlite_value(con, modified)
+        rt_sens = sqlite_value(con, sensitivity)
         assert rt_mod == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
         sens, _ = eng.run_sensitivity(plan, db)
         assert rt_sens == pytest.approx(sens, rel=1e-9)
@@ -574,6 +577,13 @@ def test_build_plan_accepts_noise_params():
     ctx = validate(parse_query(B1_5_SQL), schema)
     plan = build_plan(ctx, NoiseParams(2.0, 0.25, 4.0))
     assert plan.params.beta == 0.25
+
+
+@pytest.mark.parametrize("field", ["beta", "alpha"])
+@pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
+def test_plan_params_reject_a_bad_beta_or_alpha(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
+        PlanParams(**{field: value})
 
 
 def test_declared_precision_scaled_clamp():

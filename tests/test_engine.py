@@ -1,8 +1,6 @@
-import dataclasses
 import json
 import math
 import os
-import sqlite3
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from dersens.analyzer import PlanParams, build_plan, emit_sql, render
 from dersens.cli import main as cli_main
 from dersens.exprs import Col, EvalError, Sum, Tauoid, TauoidDeriv, eval_scalar
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
+from sqlite_exec import sqlite_dialect, sqlite_value, strict_sqlite
 
 PARAMS = PlanParams(beta=0.1, alpha=0.1)
 
@@ -183,16 +182,6 @@ def test_determinism_bit_identical(lineitem_db):
     assert a == b
 
 
-def test_table_envs_hold_python_values(lineitem_db):
-    db, _ = lineitem_db
-    envs = eng._table_envs(db, "lineitem", "l")
-    td = db.tables["lineitem"]
-    assert len(envs) == len(td.ids)
-    assert envs[1]["l.l_quantity"] == 36.0 and envs[1]["l.l_returnflag"] == "R"
-    assert [e["l.__sens__"] for e in envs] == [True, True, True, False]
-    assert {type(v) for e in envs for v in e.values()} == {float, str, bool}
-
-
 def test_cross_product_cardinality(tmp_path):
     write_table(str(tmp_path), "t", ["a", "s"], [[1.0, "x"], [2.0, "y"], [3.0, "x"]])
     write_table(str(tmp_path), "u", ["c"], [[1.0], [2.0]])
@@ -214,9 +203,10 @@ def test_minmax_roundtrip_with_span_subquery(tmp_path):
     plan = build_plan(_ctx(sql, schema), PARAMS)
     modified, sensitivity = emit_sql(plan)
     assert "SELECT max(" in modified  # the span subquery is inlined
-    rt = eng.evaluate_emitted(sf.parse_emitted(modified), db)
+    con = strict_sqlite(db)
+    rt = sqlite_value(con, modified)
     assert rt == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
-    rt_sens = eng.evaluate_emitted(sf.parse_emitted(sensitivity), db)
+    rt_sens = sqlite_value(con, sensitivity)
     sens, _ = eng.run_sensitivity(plan, db)
     assert rt_sens == pytest.approx(sens, rel=1e-9)
 
@@ -229,7 +219,7 @@ def test_product_sensitivity_roundtrip(tmp_path):
     plan = build_plan(_ctx(sql, schema), PlanParams(beta=0.5, alpha=0.5))
     sens, _ = eng.run_sensitivity(plan, db)
     _, sens_sql = emit_sql(plan)
-    rt = eng.evaluate_emitted(sf.parse_emitted(sens_sql), db)
+    rt = sqlite_value(strict_sqlite(db), sens_sql)
     assert rt == pytest.approx(sens, rel=1e-9)
 
 
@@ -255,55 +245,13 @@ def test_database_combiner_across_tables(tmp_path):
         db = load_database(str(tmp_path), schema)
         plan = build_plan(_ctx(sql, schema), PARAMS)
         _, sens_sql = emit_sql(plan)
-        rt = eng.evaluate_emitted(sf.parse_emitted(sens_sql), db)
+        rt = sqlite_value(strict_sqlite(db), sens_sql)
         assert rt == pytest.approx(vals[tag], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # emitted SQL on sqlite3, far outside the range of exp
 # ---------------------------------------------------------------------------
-
-
-def _sqlite_dialect(node):
-    """A parsed emitted statement in sqlite's dialect: `^` -> pow,
-    greatest/least -> max/min."""
-    if isinstance(node, tuple):
-        return tuple(_sqlite_dialect(n) for n in node)
-    if not dataclasses.is_dataclass(node):
-        return node
-    if isinstance(node, sf.BinOp) and node.op == "^":
-        return sf.FuncCall("pow", (_sqlite_dialect(node.lhs), _sqlite_dialect(node.rhs)))
-    if isinstance(node, sf.FuncCall) and node.name in ("greatest", "least"):
-        return sf.FuncCall("max" if node.name == "greatest" else "min", _sqlite_dialect(node.args))
-    return dataclasses.replace(node, **{
-        f.name: _sqlite_dialect(getattr(node, f.name)) for f in dataclasses.fields(node)
-    })
-
-
-def _strict_sqlite(db=None) -> sqlite3.Connection:
-    """An in-memory sqlite3 holding `db`.  exp, ln and pow are Python's
-    math functions, which raise on overflow as PostgreSQL does; sqlite's
-    own would return inf or NULL."""
-    con = sqlite3.connect(":memory:")
-    con.create_function("exp", 1, math.exp, deterministic=True)
-    con.create_function("ln", 1, math.log, deterministic=True)
-    con.create_function("pow", 2, math.pow, deterministic=True)
-    for name, td in (db.tables.items() if db is not None else ()):
-        decl = ", ".join(f"{c} {'TEXT' if a.dtype == object else 'REAL'}"
-                         for c, a in td.columns.items())
-        con.execute(f"CREATE TABLE {name} (ID TEXT, {decl})")
-        rows = zip(td.ids.tolist(), *(a.tolist() for a in td.columns.values()))
-        con.executemany(f"INSERT INTO {name} VALUES ({', '.join('?' * (len(td.columns) + 1))})", rows)
-        con.execute(f"CREATE TABLE {name}_sensRows (ID TEXT, sensitive INTEGER)")
-        con.executemany(f"INSERT INTO {name}_sensRows VALUES (?, ?)",
-                        zip(td.ids.tolist(), td.sensitive.tolist()))
-    return con
-
-
-def _sqlite_value(con: sqlite3.Connection, sql: str) -> float:
-    stmt = sf.print_expr(sf.SubQuery(_sqlite_dialect(sf.parse_emitted(sql))))[1:-1]
-    ((value,),) = con.execute(stmt).fetchall()
-    return value
 
 
 def test_b16_tauoid_sql_agrees_far_from_the_in_list(tmp_path):
@@ -324,35 +272,27 @@ def test_b16_tauoid_sql_agrees_far_from_the_in_list(tmp_path):
     db = load_database(d, schema)
     plan = build_plan(_ctx(B16_SQL, schema), PARAMS)
     engine = {"modified": eng.run_modified(plan, db), "sensitivity": eng.run_sensitivity(plan, db)[0]}
-    con = _strict_sqlite(db)
+    con = strict_sqlite(db)
     for part_name, value in engine.items():
         with open(os.path.join(GOLDEN_DIR, f"b16_{part_name}.sql")) as fh:
             golden = fh.read()
-        assert eng.evaluate_emitted(sf.parse_emitted(golden), db) == pytest.approx(value, rel=1e-9)
-        assert _sqlite_value(con, golden) == pytest.approx(value, rel=1e-9)
+        assert sqlite_value(con, golden) == pytest.approx(value, rel=1e-9)
     assert engine["modified"] > 1.0  # rows 1 and 2 count, the far ones do not
 
 
 @pytest.mark.parametrize("node", [Tauoid, TauoidDeriv])
 def test_tauoid_forms_render_without_overflow(node):
     e = node(5.0, Col("t.x"))
-    con = _strict_sqlite()
+    con = strict_sqlite()
     con.execute("CREATE TABLE t (x REAL)")
     xs = [-1e4, -200.0, -141.0, -1.0, -0.0, 0.0, 0.3, 1.0, 141.0, 200.0, 1e4]
     con.executemany("INSERT INTO t VALUES (?)", [(x,) for x in xs])
-    stmt = sf.print_expr(_sqlite_dialect(sf.parse_emitted(f"SELECT {render(e)} FROM t;").select))
+    stmt = sf.print_expr(sqlite_dialect(sf.parse_emitted(f"SELECT {render(e)} FROM t;").select))
     got = [v for (v,) in con.execute(f"SELECT {stmt} FROM t").fetchall()]
     want = [eval_scalar(e, {"t.x": x}) for x in xs]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-    interpreted = eng.evaluate_emitted(sf.parse_emitted(f"SELECT sum({render(e)}) FROM t;"), _one_column_db(xs))
-    assert interpreted == pytest.approx(math.fsum(want), rel=1e-12, abs=1e-300)
-
-
-def _one_column_db(xs):
-    col = np.array(xs)
-    col.flags.writeable = False
-    ids = np.array([str(i) for i in range(len(xs))], dtype=object)
-    return sf.Database({"t": sf.TableData("t", {"x": col}, ids, np.zeros(len(xs), dtype=bool))})
+    summed = sqlite_value(con, f"SELECT sum({render(e)}) FROM t;")
+    assert summed == pytest.approx(math.fsum(want), rel=1e-12, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential tests of the columnar engine against a brute-force oracle:
 a nested loop over the cross product of row dicts, filtered with
-`eval_pred_bool`, with `eval_scalar` per row.  Queries and data are drawn
-from seeded generators over 1-3 tables, two of them sensitive."""
+`eval_pred_bool`, with `eval_scalar` per row, and against the emitted SQL
+run on sqlite3.  Queries and data are drawn from seeded generators over 1-3
+tables, two of them sensitive."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 from conftest import write_table
 from dersens import engine as eng
 from dersens import sqlfront as sf
-from dersens.analyzer import PlanParams, build_plan
+from dersens.analyzer import PlanParams, build_plan, emit_sql
 from dersens.exprs import (
     Col,
     Const,
@@ -30,6 +31,21 @@ from dersens.exprs import (
     Sum,
     eval_scalar,
 )
+from dersens.sqlfront import (
+    BinOp,
+    BoolCol,
+    BoolOp,
+    CaseWhen,
+    Cmp,
+    ColRef,
+    FuncCall,
+    LikePred,
+    NotPred,
+    Number,
+    StrLit,
+    TruePred,
+)
+from sqlite_exec import sqlite_value, strict_sqlite
 
 SCHEMA = """\
 table t
@@ -80,18 +96,95 @@ def _rel_close(a: float, b: float, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The oracle
+# The oracle: row dicts, with the engine's row semantics of the SQL subset
+# (`_cmp`, `_call`, `_pow`, `_like_regex`)
 # ---------------------------------------------------------------------------
 
 
+def _table_envs(db, table, alias):
+    """One env per row, holding Python floats and strs (not numpy scalars)."""
+    td = db.table(table)
+    names = [f"{alias}.{c}" for c in td.columns] + [f"{alias}.ID", f"{alias}.__sens__"]
+    values = [a.tolist() for a in (*td.columns.values(), td.ids, td.sensitive)]
+    return [dict(zip(names, row)) for row in zip(*values)]
+
+
+def _lookup(env, ref):
+    if ref.table:
+        key = ref.name
+        if key in env:
+            return env[key]
+        raise eng.EngineError(f"no column '{key}' in row")
+    if ref.column in env:
+        return env[ref.column]
+    hits = [k for k in env if k.endswith("." + ref.column)]
+    if len(hits) == 1:
+        return env[hits[0]]
+    if not hits:
+        raise eng.EngineError(f"no column '{ref.column}' in row")
+    raise eng.EngineError(f"ambiguous column '{ref.column}' in row")
+
+
+def _eval_side(e, env):
+    if isinstance(e, (Number, StrLit)):
+        return e.value
+    if isinstance(e, ColRef):
+        return _lookup(env, e)
+    if isinstance(e, BinOp):
+        a = _eval_side(e.lhs, env)
+        b = _eval_side(e.rhs, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0:
+                raise eng.EngineError("division by zero")
+            return a / b
+        if e.op == "^":
+            return eng._pow(a, b)
+    if isinstance(e, FuncCall):
+        return eng._call(e.name, *(_eval_side(a, env) for a in e.args))
+    if isinstance(e, CaseWhen):
+        if eval_pred_bool(e.cond, env):
+            return _eval_side(e.then, env)
+        return _eval_side(e.other, env)
+    raise eng.EngineError(f"cannot evaluate {type(e).__name__}")
+
+
+def eval_pred_bool(p, env) -> bool:
+    """Exact boolean semantics of the predicate subset."""
+    if isinstance(p, TruePred):
+        return True
+    if isinstance(p, Cmp):
+        return eng._cmp(p.op, _eval_side(p.lhs, env), _eval_side(p.rhs, env))
+    if isinstance(p, LikePred):
+        hit = bool(eng._like_regex(p.pattern).match(str(_lookup(env, p.col))))
+        return not hit if p.negated else hit
+    if isinstance(p, BoolCol):
+        return bool(_lookup(env, p.col))
+    if isinstance(p, NotPred):
+        return not eval_pred_bool(p.arg, env)
+    if isinstance(p, BoolOp):
+        vals = [eval_pred_bool(a, env) for a in p.args]
+        if p.op == "and":
+            return all(vals)
+        if p.op == "or":
+            return any(vals)
+        return sum(vals) % 2 == 1
+    raise eng.EngineError(f"cannot evaluate predicate {type(p).__name__}")
+
+
 def oracle_rows(ctx, db, pred):
-    streams = [eng._table_envs(db, table, alias) for table, alias in ctx.query.tables]
+    streams = [_table_envs(db, table, alias) for table, alias in ctx.query.tables]
     out = []
     for combo in iproduct(*streams):
         env = {}
         for part in combo:
             env.update(part)
-        if eng.eval_pred_bool(pred, env):
+        if eval_pred_bool(pred, env):
             out.append(env)
     return out
 
@@ -114,7 +207,7 @@ def oracle_initial(ctx, db):
     agg = ctx.query.aggregator.upper()
     if agg == "COUNT":
         return float(len(rows))
-    return _aggregate(agg, [float(eng._eval_side(ctx.query.select, e)) for e in rows])
+    return _aggregate(agg, [float(_eval_side(ctx.query.select, e)) for e in rows])
 
 
 def oracle_bound_rows(plan, db):
@@ -122,7 +215,7 @@ def oracle_bound_rows(plan, db):
     for key, spec in plan.opaques.items():
         if spec.kind == "indicator":
             for env in rows:
-                env[key] = 1.0 if eng.eval_pred_bool(spec.pred, env) else 0.0
+                env[key] = 1.0 if eval_pred_bool(spec.pred, env) else 0.0
     for key, spec in plan.opaques.items():
         if spec.kind == "span":
             vals = [eval_scalar(spec.expr, env) for env in rows]
@@ -210,10 +303,9 @@ def _outcome(fn):
         return None, type(exc)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_engine_matches_oracle(tmp_path, seed):
+def _seeded_cases(tmp_path, seed):
+    """The 14 fixtures of one seed, as (query text, database, plan)."""
     rng = random.Random(seed)
-    cases = 0
     for k in range(14):
         d = tmp_path / f"fx{k}"
         d.mkdir()
@@ -222,7 +314,14 @@ def test_engine_matches_oracle(tmp_path, seed):
         ctx = sf.validate(sf.parse_query(sql), schema)
         params = PlanParams(beta=0.1, alpha=rng.choice([0.5, 2.0]),
                             precise_ints=rng.random() < 0.3)
-        plan = build_plan(ctx, params)
+        yield sql, db, build_plan(ctx, params)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_matches_oracle(tmp_path, seed):
+    cases = 0
+    for sql, db, plan in _seeded_cases(tmp_path, seed):
+        ctx = plan.ctx
 
         # the same joined rows, in nested-loop order
         aliases = [alias for _, alias in ctx.query.tables]
@@ -249,6 +348,33 @@ def test_engine_matches_oracle(tmp_path, seed):
                 assert _rel_close(bd.groups[gid], val), (sql, gid, bd.groups[gid], val)
         cases += 1
     assert cases == 14
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_emitted_sql_on_sqlite_matches_engine(tmp_path, seed):
+    # SQL gives NULL where the engine gives a value in two cases: an
+    # aggregate over no public rows, and a sensitivity statement in which a
+    # sensitive table has no sensitive row among the public rows, so that
+    # its per-table term is NULL and `NULL + x` makes the sum NULL.  In the
+    # second case the engine counts that table as 0 and may report a
+    # positive sensitivity (seed 8, fixture 8 is one).
+    agreed = 0
+    for sql, db, plan in _seeded_cases(tmp_path, seed):
+        rows = eng.public_rows(plan.ctx, db)
+        no_sens_row = any(not rows.column(f"{tp.alias}.__sens__").any()
+                          for tp in plan.table_plans)
+        con = strict_sqlite(db)
+        modified, sensitivity = emit_sql(plan)
+        for what, stmt in (("modified", modified), ("sensitivity", sensitivity)):
+            got = sqlite_value(con, stmt)
+            if got is None:
+                assert len(rows) == 0 or (what == "sensitivity" and no_sens_row), (sql, what)
+                continue
+            want = (eng.run_modified(plan, db, rows) if what == "modified"
+                    else eng.run_sensitivity(plan, db, rows)[0])
+            assert got == pytest.approx(want, rel=1e-9), (sql, what)
+            agreed += 1
+    assert agreed > 0
 
 
 def test_join_keeps_nested_loop_order(tmp_path):

@@ -23,13 +23,12 @@ from dersens.exprs import (
     Sum,
     Tauoid,
     combine_ds,
-    ds_expr,
     eval_scalar,
     expr_vars,
-    finite_diff_ds,
     smooth_bound,
 )
 from dersens.norms import Combine, Scale, Var, eval_norm, parse_norm
+from ds_oracles import ds_expr, finite_diff_ds
 
 X, Y, Z = Col("x"), Col("y"), Col("z")
 INF = math.inf

@@ -27,6 +27,7 @@ from dersens.sqlfront import (
     ParseError,
     QuerySpec,
     SchemaError,
+    StrLit,
     TruePred,
     date_to_months,
     load_database,
@@ -89,6 +90,22 @@ def test_parse_unsupported_aggregator():
 def test_parse_unsupported_constructs(sql, what):
     with pytest.raises(ParseError, match=what):
         parse_query(sql)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT sum(t.x) 'from' t 'where' t.x < 3",
+    "SELECT 'sum'(t.x) FROM t",
+    "SELECT sum'('t.x) FROM t",
+    "SELECT sum(t.x) FROM t WHERE t.x 'between' 1 AND 2",
+])
+def test_string_literal_is_no_keyword_or_punctuation(sql):
+    with pytest.raises(ParseError):
+        parse_query(sql)
+
+
+def test_quoted_keyword_is_a_string_literal():
+    q = parse_query("SELECT sum(t.x) FROM t WHERE t.s = 'from'")
+    assert q.where == Cmp("=", ColRef("t", "s"), StrLit("from"))
 
 
 def test_parse_error_reports_position():

@@ -130,6 +130,15 @@ def test_normalize_merges_repeats_sqrt2():
     assert coeff == pytest.approx(math.sqrt(2))
 
 
+def test_normalize_merges_repeats_whose_powers_overflow():
+    # the squares of the coefficients overflow, their l2 norm does not
+    n = normalize(Combine(2.0, (Scale(1e200, Var("x")), Scale(1e200, Var("x")))))
+    assert isinstance(n, Scale) and n.child == Var("x")
+    assert n.factor == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert eval_norm(Combine(3.0, (Var("x"), Var("y"))), {"x": 1e300, "y": 1e300}) == \
+        pytest.approx(2.0 ** (1 / 3) * 1e300, rel=1e-15)
+
+
 def test_normalize_flattens_same_exponent():
     inner1 = Combine(2.0, (Var("x"), Var("y")))
     inner2 = Combine(2.0, (Var("z"), Var("w")))

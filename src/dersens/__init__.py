@@ -5,6 +5,11 @@ data, rewrite the query into a continuous form, derive a smooth upper bound
 on its derivative sensitivity aligned with the declared norms, evaluate
 everything on the local data, and release the result with generalized-Cauchy
 noise.
+
+Importing the package loads no numpy: the analysis (parse, lower, align
+norms, bound, emit SQL) is pure Python, and numpy is loaded only by the CSV
+loader, the engine, the noise sampler and `dersens.bench`.  The engine's
+functions are imported from `dersens.engine`.
 """
 
 from dersens.analyzer import (
@@ -13,12 +18,6 @@ from dersens.analyzer import (
     build_plan,
     emit_sql,
     lower_aggregation,
-)
-from dersens.engine import (
-    EngineError,
-    run_initial,
-    run_modified,
-    run_sensitivity,
 )
 from dersens.exprs import (
     AnalysisError,

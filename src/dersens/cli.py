@@ -13,8 +13,6 @@ import sys
 import tempfile
 
 from dersens import analyzer as an
-from dersens import bench as bn
-from dersens import engine as eng
 from dersens import sqlfront as sf
 from dersens.exprs import AnalysisError, EvalError
 from dersens.mechanism import InfeasibleParams, NoiseParams, derive_b, privatize
@@ -85,16 +83,20 @@ def _noise_params(args, plan) -> NoiseParams:
 
 
 def _seed(args) -> int | None:
-    """--seed, else DERSENS_SEED, else None."""
+    """--seed, else DERSENS_SEED, else None.  Noise and bench data are drawn
+    from a Philox stream, which takes no negative seed."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DERSENS_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    elif (env := os.environ.get("DERSENS_SEED")) is not None:
         try:
-            return int(env)
+            seed, source = int(env), "DERSENS_SEED"
         except ValueError:
             raise CliError(f"DERSENS_SEED must be an integer, got '{env}'") from None
-    return None
+    else:
+        return None
+    if seed < 0:
+        raise CliError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_analyze(args) -> int:
@@ -124,6 +126,10 @@ def cmd_analyze(args) -> int:
 
 
 def _run_report(args, with_noise: bool) -> dict:
+    # imported here, not with the module, so that `analyze` loads no numpy;
+    # calls go through the module, where a tracer that rebinds them sees them
+    from dersens import engine as eng
+
     ctx, plan = _load_inputs(args)
     if args.data is None:
         raise CliError("missing required --data directory")
@@ -198,6 +204,8 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from dersens import bench as bn
+
     if args.rows < 1:
         raise CliError(f"--rows must be at least 1, got {args.rows}")
     data_dir = args.data or tempfile.mkdtemp(prefix="dersens_bench_")

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GenCauchy",
@@ -80,6 +82,10 @@ class GenCauchy:
         self.z = (2.0 / gamma) * math.pi / math.sin(math.pi / gamma)
 
     def pdf(self, x):
+        # numpy is imported by the methods that use it, not with the module:
+        # derive_b and NoiseParams, which the analysis path uses, need none
+        import numpy as np
+
         return 1.0 / (self.z * (1.0 + np.abs(x) ** self.gamma))
 
     def sample(self, seed: int, n: int = 1) -> np.ndarray:
@@ -88,6 +94,8 @@ class GenCauchy:
         Candidate k reads uniforms 4k..4k+3 (branch, position, acceptance,
         sign) whatever the batch size, so the draws for n are the first n of
         the draws for any larger n."""
+        import numpy as np
+
         g = self.gamma
         rng = np.random.Generator(np.random.Philox(seed))
         out = np.empty(0)

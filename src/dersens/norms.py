@@ -446,12 +446,15 @@ class _Matcher:
     ||f*x||_v <= ||x||_w, preferring the largest total scaling."""
 
     def __init__(self):
-        self.steps: list[str] = []
-        self.failure: str | None = None
+        # Steps and the first failure are kept as nodes and formatted only
+        # by compare(): scale_elaborate reads neither.  A step is (v, w,
+        # penalty), penalty None for a matched pair; a failure is (v, w, why).
+        self.steps: list[tuple[NormExpr, NormExpr, float | None]] = []
+        self.failure: tuple[NormExpr, NormExpr, str] | None = None
 
     def _note_fail(self, v, w, why):
         if self.failure is None:
-            self.failure = f"cannot fit {print_norm(v)} under {print_norm(w)}: {why}"
+            self.failure = (v, w, why)
 
     def match(self, v: NormExpr, w: NormExpr) -> dict[str, float] | None:
         if isinstance(v, Scale):
@@ -499,9 +502,7 @@ class _Matcher:
             # fitting a smaller exponent under a larger one costs m^(1/q - 1/p)
             m = len(v.children)
             penalty = m ** (1.0 / w.p - 1.0 / v.p) if w.p != INF else m ** (-1.0 / v.p)
-            self.steps.append(
-                f"exponent step {v.p} -> {w.p} scales {print_norm(v)} by {penalty:.6g}"
-            )
+            self.steps.append((v, w, penalty))
         best: dict[str, float] | None = None
         best_score = -INF
         for vs, ws in attempts:
@@ -542,7 +543,7 @@ class _Matcher:
             return None
         out: dict[str, float] = {}
         for i, j in enumerate(assign):
-            self.steps.append(f"match {print_norm(vs[i])} <= {print_norm(ws[j])}")
+            self.steps.append((vs[i], ws[j], None))
             _min_merge(out, edges[i][j])
         return out
 
@@ -607,13 +608,19 @@ def compare(nq: NormExpr, ndb: NormExpr) -> Comparison:
     _check_var_cover(nq, ndb)
     matcher = _Matcher()
     factors = matcher.match(nq, ndb)
+    steps = tuple(
+        f"match {print_norm(v)} <= {print_norm(w)}" if penalty is None
+        else f"exponent step {v.p} -> {w.p} scales {print_norm(v)} by {penalty:.6g}"
+        for v, w, penalty in matcher.steps
+    )
     if factors is None:
-        return Comparison(False, tuple(matcher.steps), matcher.failure or "no derivation found")
+        v, w, why = matcher.failure  # match notes a failure before it returns None
+        return Comparison(False, steps, f"cannot fit {print_norm(v)} under {print_norm(w)}: {why}")
     bad = [v for v, f in factors.items() if f < 1.0 - 1e-9]
     if bad:
         hint = ", ".join(f"{v} would need scaling {factors[v]:.6g}" for v in sorted(bad))
-        return Comparison(False, tuple(matcher.steps), hint)
-    return Comparison(True, tuple(matcher.steps))
+        return Comparison(False, steps, hint)
+    return Comparison(True, steps)
 
 
 def scale_straightforward(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:

@@ -251,6 +251,28 @@ def test_unseeded_privatize_is_not_deterministic(b1_1_inputs, capsys, monkeypatc
     assert json.loads(capsys.readouterr().out)["seed"] == 42
 
 
+@pytest.mark.parametrize("command, env, flag", [
+    ("privatize", None, ["--seed", "-1"]),
+    ("privatize", "-5", []),
+    ("bench", None, ["--seed", "-1"]),
+], ids=["privatize-flag", "privatize-env", "bench-flag"])
+def test_negative_seed_exits_1(b1_1_inputs, capsys, tmp_path, monkeypatch, command, env, flag):
+    query, schema, data = b1_1_inputs
+    if env is None:
+        monkeypatch.delenv("DERSENS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DERSENS_SEED", env)
+    args = ["privatize", "--query", query, "--schema", schema, "--data", data]
+    if command == "bench":
+        args = ["bench", "--rows", "20", "--data", str(tmp_path / "bench")]
+    code = main([*args, "--json", *flag])
+    out = capsys.readouterr()
+    assert code == 1
+    message = f"--seed must be non-negative, got {flag[1]}" if flag else \
+        f"DERSENS_SEED must be non-negative, got {env}"
+    assert out.out == "" and f"error: {message}" in out.err
+
+
 def test_unseeded_bench_generates_its_data_with_seed_0(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("DERSENS_SEED", raising=False)
     for name, seed in (("unseeded", []), ("seed0", ["--seed", "0"])):

@@ -215,6 +215,24 @@ def test_compare_exponent_gap_fails_with_hint():
     assert "scaling" in c.failure
 
 
+def test_compare_steps_and_failure_text():
+    proved = compare(parse_norm("lp 1.0 x (lp 2.0 y z)"),
+                     parse_norm("lp 2.0 (scaled 2.0 x) (scaled 3.0 (linf y z))"))
+    assert proved.proved and proved.failure is None
+    assert proved.steps == (
+        "exponent step 1.0 -> 2.0 scales lp 1.0 x (lp 2.0 y z) by 0.707107",
+        "exponent step 2.0 -> inf scales lp 2.0 y z by 0.707107",
+        "match y <= scaled 3.0 y",
+        "match z <= scaled 3.0 z",
+        "match x <= scaled 2.0 x",
+        "match lp 2.0 y z <= linf (scaled 3.0 y) (scaled 3.0 z)",
+    )
+    failed = compare(parse_norm("linf (lp 2.0 x y) z"), parse_norm("lp 1.0 x (linf y z)"))
+    assert not failed.proved
+    assert failed.steps == ("exponent step 2.0 -> inf scales lp 2.0 x y by 0.707107",)
+    assert failed.failure == "cannot fit z under x: different variables"
+
+
 def test_compare_free_variable_error():
     with pytest.raises(NormError):
         compare(parse_norm("lp 1.0 x q"), parse_norm("lp 1.0 x y"))
@@ -354,3 +372,36 @@ def test_scaling_methods_concurrent_safety_smoke():
     w1 = scale_elaborate(nq, ndb)
     w2 = scale_elaborate(nq, ndb)
     assert w1 == w2
+
+
+# The wide composite norm of the benchmark's meter table.
+METER_NORM = ("lp 1.0 (scaled 2.0 (lp 2.0 m_kwh m_peak)) (linf m_volt m_amp) "
+              "(scaled 0.5 (lp 1.0 m_temp m_hum)) (scaled 10.0 (linf m_lat m_lon))")
+
+
+@pytest.mark.parametrize("query_norm, method", [
+    ("lp 1.0 m_kwh m_volt m_temp m_lat", "elaborate"),
+    ("lp 1.0 m_kwh (scaled 0.5 m_peak) m_volt m_amp m_temp m_hum (scaled 0.25 m_kwh) m_peak",
+     "straightforward"),
+])
+def test_scale_elaborate_formats_no_matcher_text(monkeypatch, query_norm, method):
+    # scale_elaborate reads no step or failure text, so beyond the calls its
+    # two normalize calls make (their sort key prints combinations) it must
+    # print no norm
+    from dersens import norms
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return print_norm(n)
+
+    monkeypatch.setattr(norms, "print_norm", counting)
+    nq, ndb = parse_norm(query_norm), parse_norm(METER_NORM)
+    normalize(nq)
+    normalize(ndb)
+    by_normalize = len(calls)
+    assert by_normalize > 0
+    calls.clear()
+    assert scale_elaborate(nq, ndb).method == method
+    assert len(calls) == by_normalize

@@ -1,0 +1,75 @@
+"""The analysis path (parse, lower, align norms, bound, emit SQL) imports no
+numpy: only the CSV loader, the engine, the noise sampler and `dersens.bench`
+load it.  Each check runs in a fresh interpreter, since this one has numpy
+loaded by other tests."""
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import B1_1_SQL, B16_SQL, GOLDEN_DIR, LINEITEM_SCHEMA, TPCH_MINI_SCHEMA
+from dersens.cli import main
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+# Reads {"argv", "schema", "sql"} from stdin; prints the exit code and output
+# of `dersens <argv>`, the SQL that build_plan/emit_sql give for `sql`, and
+# whether numpy then fails to import.
+_CHILD = """\
+import contextlib, io, json, sys
+import dersens
+import dersens.cli
+from dersens import analyzer as an
+from dersens import sqlfront as sf
+
+job = json.load(sys.stdin)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = dersens.cli.main(job["argv"])
+ctx = sf.validate(sf.parse_query(job["sql"]), sf.parse_schema(job["schema"]))
+modified, sensitivity = an.emit_sql(an.build_plan(ctx, an.PlanParams(beta=0.1, alpha=0.1)))
+try:
+    import numpy
+    blocked = False
+except ImportError:
+    blocked = True
+print(json.dumps({"rc": rc, "stdout": out.getvalue(), "modified": modified,
+                  "sensitivity": sensitivity, "numpy_blocked": blocked}))
+"""
+
+
+def _python(code: str, pythonpath: list[str], stdin: str = "") -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([*pythonpath, SRC])
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_analysis_runs_with_numpy_blocked(tmp_path, capsys):
+    shim = tmp_path / "shim"
+    (shim / "numpy").mkdir(parents=True)
+    (shim / "numpy" / "__init__.py").write_text(
+        'raise ImportError("numpy is blocked: the analysis path must not import it")\n')
+    schema, query = tmp_path / "schema.txt", tmp_path / "q.sql"
+    schema.write_text(LINEITEM_SCHEMA)
+    query.write_text(B1_1_SQL)
+    argv = ["analyze", "--query", str(query), "--schema", str(schema)]
+    job = {"argv": argv, "schema": TPCH_MINI_SCHEMA, "sql": B16_SQL}
+    got = json.loads(_python(_CHILD, [str(shim)], json.dumps(job)))
+    assert got["numpy_blocked"]
+    assert main(argv) == 0
+    assert got["rc"] == 0
+    assert got["stdout"] == capsys.readouterr().out
+    for part in ("modified", "sensitivity"):
+        with open(os.path.join(GOLDEN_DIR, f"b16_{part}.sql"), encoding="utf-8") as fh:
+            assert got[part] + "\n" == fh.read()
+
+
+def test_importing_the_package_loads_no_numpy():
+    out = _python("import json, sys\nimport dersens, dersens.cli\nprint(json.dumps(list(sys.modules)))", [])
+    modules = json.loads(out)
+    assert "dersens.cli" in modules
+    assert "numpy" not in modules

@@ -135,8 +135,8 @@ def _run_report(args, with_noise: bool) -> dict:
         raise CliError("missing required --data directory")
     try:
         db = sf.load_database(args.data, ctx.schema)
-        initial = eng.run_initial(ctx, db)
         rows = eng.public_rows(ctx, db)
+        initial = eng.run_initial(ctx, db, rows)
         modified = eng.run_modified(plan, db, rows)
         sens, breakdown = eng.run_sensitivity(plan, db, rows)
     except (sf.SchemaError, eng.EngineError, EvalError) as exc:

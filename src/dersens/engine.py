@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import compress
 from typing import Callable, Mapping
 
 import numpy as np
@@ -647,12 +648,18 @@ def _aggregate(agg: str, vals: np.ndarray) -> float:
     return _check_finite(float(vals.min() if agg == "MIN" else vals.max()), agg)
 
 
-def run_initial(ctx: AnalysisContext, db: Database) -> float:
-    """Exact value of the original query: boolean filters, no approximation."""
+def run_initial(ctx: AnalysisContext, db: Database, rows: Relation | None = None) -> float:
+    """Exact value of the original query: boolean filters, no approximation.
+    `rows` is `public_rows(ctx, db)` when the caller has bound it already;
+    the WHERE clause is the public filter and the residual conjuncts, so
+    only the residual ones are applied to it."""
+    if rows is None:
+        rows = public_rows(ctx, db)
     q = ctx.query
     agg = q.aggregator.upper()
     with np.errstate(all="ignore"):
-        rows = _join(ctx, db, q.where)
+        for c in sf._flatten_and(ctx.residual_pred):
+            rows = rows.take(_mask(c, rows))
         if agg == "COUNT":
             return float(len(rows))
         return _aggregate(agg, np.asarray(_values(q.select, rows), dtype=float))
@@ -717,15 +724,21 @@ def run_sensitivity(
         frame = _bind(plan, rows, compile_)
         for tp in plan.table_plans:
             groups: dict[str, float] = {}
+            argmax = None
             sens = rows.column(f"{tp.alias}.__sens__")
             if sens is not None and sens.any():
                 vals = np.abs(compile_(tp.combined)(frame.take(sens)))
-                keys, codes = np.unique(rows.column(f"{tp.alias}.ID")[sens], return_inverse=True)
+                # a group is a row of the table: the loader rejects duplicate IDs
+                keys, codes = np.unique(rows.rows[tp.alias][sens], return_inverse=True)
                 acc = np.zeros(len(keys))
                 (np.add if tp.group_agg == "sum" else np.maximum).at(acc, codes, vals)
-                groups = dict(zip(keys.tolist(), acc.tolist()))
-            value = _dual_norm([groups[g] for g in sorted(groups)], tp.rows_p)
-            argmax = max(sorted(groups), key=lambda g: groups[g]) if groups else None
+                if np.isnan(acc).any():
+                    raise EngineError(f"the sensitivity of a {tp.table} row is nan")
+                ids = db.table(tp.table).ids[keys].tolist()
+                groups = dict(zip(ids, acc.tolist()))
+                # the worst group with the smallest ID, whatever the row order
+                argmax = min(compress(ids, (acc == acc.max()).tolist()))
+            value = _dual_norm(list(groups.values()), tp.rows_p)
             breakdown.append(GroupBreakdown(tp.alias, tp.table, groups, argmax, value))
             values.append(value)
     total = _dual_norm(values, plan.ctx.schema.database_p)

@@ -898,19 +898,19 @@ def _loadtxt(path: str, header: list[str], types: list[str]) -> np.ndarray | Non
     (fields f0, f1, ... of the given column types), read by a single call of
     numpy's C text reader; or None where that reader cannot take the file.
 
-    It cannot take a file whose header is not `header`, whose text holds a
-    quote, a carriage return or NUL, or has a line that may exceed the csv
-    module's field size limit, or on which np.loadtxt raises or warns: a
-    cell it cannot parse exactly as the csv path would (`1_000`, `1.0` in an
-    int column, ISO dates, empty cells, ints beyond int64), a record of the
-    wrong width, a whitespace-only line, no records.  The csv path reads
-    those files, and it alone words the error messages."""
+    It cannot take a file it cannot open, one whose header is not `header`,
+    whose text holds a quote, a carriage return or NUL, or has a line that
+    may exceed the csv module's field size limit, or on which np.loadtxt
+    raises or warns: a cell it cannot parse exactly as the csv path would
+    (`1_000`, `1.0` in an int column, ISO dates, empty cells, ints beyond
+    int64), a record of the wrong width, a whitespace-only line, no records.
+    The csv path reads those files, and it alone words the error messages."""
     import numpy as np
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, OSError):
         return None
     if (text.partition("\n")[0].split(",") != header or '"' in text or "\r" in text
             or "\0" in text or _may_have_long_line(text, csv.field_size_limit())):
@@ -949,12 +949,15 @@ def _frozen_field(records: np.ndarray, k: int) -> np.ndarray:
 
 @contextlib.contextmanager
 def _csv_reader(path: str) -> Iterator[Iterator[list[str]]]:
-    """A csv reader over the UTF-8 file at `path`.  Bytes that are not UTF-8
-    and fields longer than `csv.field_size_limit()` raise a SchemaError
-    naming the file."""
+    """A csv reader over the UTF-8 file at `path`.  A file that cannot be
+    read (a directory, no read permission), bytes that are not UTF-8 and
+    fields longer than `csv.field_size_limit()` raise a SchemaError naming
+    the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield csv.reader(fh)
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -1048,12 +1051,17 @@ def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np
             if next(reader, None) != ["ID", "sensitive"]:
                 raise SchemaError(f"{path}: header must be ID,sensitive")
             listed, flags = _read_cells(reader, path, 2)
-    if not known.issuperset(listed):
+    # listed in table order (the IDs are unique): each ID once, none unknown
+    # or missing, and the flags are already in row order
+    in_order = listed == ids
+    if not in_order and not known.issuperset(listed):
         bad = next(i for i in listed if i not in known)
         raise SchemaError(f"{path}: sensRows ID '{bad}' not present in {tname}.csv")
     if not {"0", "1"}.issuperset(flags):
         bad = next(f for f in flags if f not in ("0", "1"))
         raise SchemaError(f"{path}: sensitive flag must be 0 or 1, got '{bad}'")
+    if in_order:
+        return _frozen(map("1".__eq__, flags), bool, len(ids))
     flag_of = dict(zip(listed, flags))
     if len(flag_of) != len(listed):
         counts = Counter(listed)

@@ -85,6 +85,22 @@ def test_minmax_over_empty_rows_is_an_error(tmp_path):
     ctx = _ctx("SELECT min(t.a) FROM t WHERE t.a > 5", schema)
     with pytest.raises(eng.EngineError):
         eng.run_initial(ctx, db)
+    with pytest.raises(eng.EngineError):
+        eng.run_initial(ctx, db, eng.public_rows(ctx, db))
+
+
+def test_initial_applies_the_residual_conjuncts_to_the_public_rows(tmp_path):
+    # the WHERE clause is `public AND residual`: the residual conjunct is
+    # applied to the public rows only, so row 2, which the public conjunct
+    # drops, is never divided by
+    write_table(str(tmp_path), "t", ["a", "b"], [[2.0, 1], [3.0, 0], [5.0, 2]],
+                [True, False, True])
+    schema = parse_schema("table t\ncol a real\ncol b int\nnorm lp 1.0 a\n")
+    db = load_database(str(tmp_path), schema)
+    ctx = _ctx("SELECT sum(t.a) FROM t WHERE (t.a > 4 OR 1 / t.b > 0.75) AND t.b <> 0", schema)
+    rows = eng.public_rows(ctx, db)
+    assert len(rows) == 2
+    assert eng.run_initial(ctx, db, rows) == eng.run_initial(ctx, db) == 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +263,45 @@ def test_database_combiner_across_tables(tmp_path):
         _, sens_sql = emit_sql(plan)
         rt = sqlite_value(strict_sqlite(db), sens_sql)
         assert rt == pytest.approx(vals[tag], rel=1e-9)
+
+
+def _tie_db(tmp_path, rows_norm):
+    # the IDs' string order (10 < 11 < 2 < 9) is not their row order
+    write_table(str(tmp_path), "u", ["k"], [[2], [3], [1], [2], [4], [3]], [False] * 6)
+    (tmp_path / "t.csv").write_text("ID,a,b,k\n9,1.0,3,1\n2,1.0,5,2\n11,1.0,5,3\n10,1.0,10,4\n")
+    (tmp_path / "t_sensRows.csv").write_text("ID,sensitive\n9,1\n2,1\n11,1\n10,1\n")
+    schema = parse_schema(f"table t\ncol a real\ncol b int\ncol k int\nrows {rows_norm}\n"
+                          "norm lp 1.0 a\ntable u\ncol k int\n")
+    return schema, load_database(str(tmp_path), schema)
+
+
+@pytest.mark.parametrize("sql,groups,worst", [
+    # t rows 2, 11 and 10 all reach 10: the smallest ID string is 10, the last row
+    ("SELECT sum(t.a * t.b) FROM t, u WHERE t.k = u.k",
+     {"9": 3.0, "2": 10.0, "11": 10.0, "10": 10.0}, "10"),
+    # rows 2 and 11 reach 5: 11 is the smaller string, and the later row
+    ("SELECT sum(t.a * t.b) FROM t WHERE t.b < 10",
+     {"9": 3.0, "2": 5.0, "11": 5.0}, "11"),
+])
+@pytest.mark.parametrize("rows_norm", ["lp 1.0", "linf"])
+def test_worst_row_is_the_smallest_id_among_the_worst_groups(tmp_path, sql, groups, worst,
+                                                            rows_norm):
+    schema, db = _tie_db(tmp_path, rows_norm)
+    plan = build_plan(_ctx(sql, schema), PlanParams(beta=0.1, alpha=1.0))
+    sens, (bd,) = eng.run_sensitivity(plan, db)
+    assert bd.groups == groups
+    assert bd.argmax == worst
+    assert bd.value == sens == (max if rows_norm == "lp 1.0" else sum)(groups.values())
+
+
+def test_nan_group_sensitivity_is_an_error(tmp_path):
+    # max over values holding a NaN depends on their order; the release fails
+    write_table(str(tmp_path), "t", ["a", "b"], [[1.0, 2.0], [1.0, "nan"], [1.0, 3.0]])
+    schema = parse_schema("table t\ncol a real\ncol b real\nrows lp 1.0\nnorm lp 1.0 a\n")
+    db = load_database(str(tmp_path), schema)
+    plan = build_plan(_ctx("SELECT max(t.a * t.b) FROM t", schema), PARAMS)
+    with pytest.raises(eng.EngineError, match="sensitivity of a t row is nan"):
+        eng.run_sensitivity(plan, db)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,18 @@ import os
 import random
 import re
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lex_oracle
 from conftest import LINEITEM_SCHEMA, LINEITEM_COLS, lineitem_row, write_table
 from dersens import sqlfront as sf
+from dersens.cli import main as cli_main
 from dersens.norms import Combine, Scale, Var
 from dersens.sqlfront import (
     BinOp,
@@ -521,6 +523,99 @@ def test_load_empty_table(tmp_path):
     assert len(td.ids) == len(td.sensitive) == 0
     assert all(len(a) == 0 for a in td.columns.values())
     assert td.columns["s"].dtype == object and td.columns["i"].dtype == np.float64
+
+
+@pytest.mark.parametrize("name", ["lineitem.csv", "lineitem_sensRows.csv"])
+@pytest.mark.parametrize("why", ["Is a directory", "Permission denied"])
+def test_load_names_a_file_it_cannot_open(tmp_path, monkeypatch, capsys, name, why):
+    write_table(str(tmp_path), "lineitem", LINEITEM_COLS, [lineitem_row()])
+    path = str(tmp_path / name)
+    if why == "Is a directory":
+        os.remove(path)
+        os.mkdir(path)
+    else:
+        # a file without read permission, which the superuser could still read
+        def unreadable(file, *args, **kwargs):
+            if file == path:
+                raise PermissionError(13, why, file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(sf, "open", unreadable, raising=False)
+    with pytest.raises(SchemaError) as err:
+        load_database(str(tmp_path), parse_schema(LINEITEM_SCHEMA))
+    assert str(err.value) == f"{path}: {why}"
+
+    (tmp_path / "schema.txt").write_text(LINEITEM_SCHEMA)
+    (tmp_path / "q.sql").write_text("SELECT sum(l_quantity) FROM lineitem")
+    code = cli_main(["run", "--query", str(tmp_path / "q.sql"), "--schema",
+                     str(tmp_path / "schema.txt"), "--data", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {why}\n"
+
+
+def _keyed_mask(path: str, ids: list[str], listed: list[str], flags: list[str]):
+    """The flags by ID lookup, with the loader's messages: the mask for
+    the table's IDs `ids` from a sensRows file listing `listed`."""
+    known = set(ids)
+    for i in listed:
+        if i not in known:
+            return f"{path}: sensRows ID '{i}' not present in t.csv"
+    for f in flags:
+        if f not in ("0", "1"):
+            return f"{path}: sensitive flag must be 0 or 1, got '{f}'"
+    for k, i in enumerate(listed):
+        if i in listed[:k]:
+            return f"{path}: sensRows ID '{i}' is listed twice"
+    flag_of = dict(zip(listed, flags))
+    for i in ids:
+        if i not in flag_of:
+            return f"{path}: no sensitive flag for ID '{i}' of t.csv"
+    return [flag_of[i] == "1" for i in ids]
+
+
+@st.composite
+def _sens_rows(draw):
+    """(table IDs, listed IDs, flags): in table order or shuffled, with or
+    without one defect."""
+    ids = draw(st.lists(st.sampled_from(["1", "2", "9", "10", "11", "a", "b b"]),
+                        unique=True, max_size=6))
+    listed = list(ids) if draw(st.booleans()) else draw(st.permutations(ids))
+    flags = draw(st.lists(st.sampled_from(["0", "1"]), min_size=len(listed),
+                          max_size=len(listed)))
+    defect = draw(st.sampled_from(["none", "twice", "missing", "unknown", "flag"]))
+    at = draw(st.integers(0, max(len(listed) - 1, 0)))
+    if defect == "twice" and listed:
+        listed.insert(at, listed[-1])
+        flags.insert(at, "1")
+    elif defect == "missing" and listed:
+        del listed[at], flags[at]
+    elif defect == "unknown":
+        listed.insert(at, "99")
+        flags.insert(at, "0")
+    elif defect == "flag" and listed:
+        flags[at] = draw(st.sampled_from(["yes", "2", " 1", ""]))
+    return ids, listed, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sens_rows())
+@example((["10", "9"], ["10", "9"], ["1", "yes"]))  # in table order, a bad flag
+def test_load_mask_in_table_order_matches_keyed_lookup(case):
+    ids, listed, flags = case
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "t.csv"), "w") as fh:
+            fh.write("ID,a\n" + "".join(f"{i},{k}\n" for k, i in enumerate(ids)))
+        path = os.path.join(d, "t_sensRows.csv")
+        with open(path, "w") as fh:
+            fh.write("ID,sensitive\n" + "".join(f"{i},{f}\n" for i, f in zip(listed, flags)))
+        want = _keyed_mask(path, ids, listed, flags)
+        try:
+            mask = load_database(d, parse_schema("table t\ncol a int\n")).tables["t"].sensitive
+        except SchemaError as exc:
+            assert str(exc) == want
+        else:
+            assert mask.dtype == bool and not mask.flags.writeable
+            assert mask.tolist() == want
 
 
 # ---------------------------------------------------------------------------

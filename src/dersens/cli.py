@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 infeasible privacy parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -225,6 +226,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# built on the first call, not at import: a parser costs about 50
+# add_argument calls, each asking the terminal for its size.  parse_args
+# leaves the parser as it was and returns a fresh Namespace each call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dersens",

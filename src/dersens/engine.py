@@ -642,7 +642,7 @@ def _aggregate(agg: str, vals: np.ndarray) -> float:
     if agg in ("SUM", "COUNT"):
         return _check_finite(checked_fsum(vals.tolist()), agg)
     if agg == "PRODUCT":
-        return _check_finite(math.prod(vals.tolist()), "PRODUCT")
+        return _check_finite(math.prod(vals.tolist(), start=1.0), "PRODUCT")
     if not len(vals):
         raise EngineError(f"{agg} over an empty row set has no value")
     return _check_finite(float(vals.min() if agg == "MIN" else vals.max()), agg)

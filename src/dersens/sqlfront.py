@@ -885,7 +885,7 @@ def _frozen(values: Iterable, dtype: type, n: int) -> np.ndarray:
     return out
 
 
-# ---- the C path: one np.loadtxt call per file ------------------------------
+# ---- the C path: one np.loadtxt call per table file ------------------------
 
 # The loadtxt type of each column type.  int columns are read as int64 and
 # cast to float afterwards: numpy's int64 parser refuses `1.0` and `1e3` as
@@ -998,9 +998,11 @@ def _read_column(cells: list[str], ty: str, table: str, col: str) -> np.ndarray:
 def load_database(data_dir: str, schema: Schema) -> Database:
     """Load <table>.csv plus <table>_sensRows.csv for every schema table.
 
-    Each file is read by one np.loadtxt call where numpy's C text reader can
-    take it, and by the csv module otherwise (see `_loadtxt`).  Both paths
-    give the same arrays; every error message comes from the csv path."""
+    Each table file is read by one np.loadtxt call where numpy's C text
+    reader can take it, and each sensRows file by one str.split where its
+    lines are plain `<ID>,<flag>` records (see `_loadtxt` and `_split_flags`);
+    the csv module reads the others.  Every path gives the same arrays, and
+    every error message about a file's form comes from the csv path."""
     tables: dict[str, TableData] = {}
     for tname, ts in schema.tables.items():
         path = os.path.join(data_dir, f"{tname}.csv")
@@ -1038,14 +1040,45 @@ def _read_table_csv(path: str, ts: TableSchema) -> tuple[np.ndarray, dict[str, n
     return _frozen(ids, object, len(ids)), columns
 
 
+def _split_flags(path: str) -> tuple[list[str], list[str]] | None:
+    """The listed IDs and flags of the sensRows file at `path`, read by one
+    str.split; or None where the csv path could read the file differently.
+
+    The split takes only a UTF-8 file whose header line is `ID,sensitive`
+    and whose every other line is `<ID>,0` or `<ID>,1` with no other comma,
+    quote, carriage return or NUL, and no line that may exceed the csv
+    module's field size limit.  That excludes blank and whitespace-only
+    lines, records of another width or flag, and files without records."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (UnicodeDecodeError, OSError):
+        return None
+    header, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    breaks = body.count("\n")
+    # a count of cells alone would not pin each record's width (`a,1,x` and
+    # `0` are four cells): every line break must follow a flag after a comma
+    if (header != "ID,sensitive" or not body.endswith((",0", ",1"))
+            or body.count(",0\n") + body.count(",1\n") != breaks
+            or body.count(",") != breaks + 1
+            or '"' in body or "\r" in body or "\0" in body
+            or _may_have_long_line(text, csv.field_size_limit())):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    return cells[0::2], cells[1::2]
+
+
 def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np.ndarray:
-    """The sensitivity flag of each row of the table, in its row order."""
+    """The sensitivity flag of each row of the table, in its row order.  The
+    sensRows file is read by `_split_flags` where it can take it, and by the
+    csv module otherwise."""
     path = os.path.join(data_dir, f"{tname}_sensRows.csv")
     if not os.path.exists(path):
         raise SchemaError(f"missing sensitive-rows file {path}")
-    records = _loadtxt(path, ["ID", "sensitive"], ["text", "text"])
-    if records is not None:
-        listed, flags = records["f0"].tolist(), records["f1"].tolist()
+    read = _split_flags(path)
+    if read is not None:
+        listed, flags = read
     else:
         with _csv_reader(path) as reader:
             if next(reader, None) != ["ID", "sensitive"]:

@@ -331,3 +331,47 @@ def test_analyze_stdout_matches_golden(tmp_path, capsys):
     sens_line = out[out.index("-- sensitivity query") + 1]
     with open(os.path.join(GOLDEN_DIR, "b1_5_sensitivity.sql")) as fh:
         assert_sql_equivalent(sens_line, fh.read())
+
+
+_INT_SCHEMA = "table t\ncol a int\ncol b int\nrows lp 1.0\nnorm lp 1.0 a b\n"
+
+
+def _int_table(tmp_path):
+    write_table(str(tmp_path), "t", ["a", "b"], [[1, 7], [4, 3], [9, 2], [3, 8]],
+                [True, True, False, True])
+    return _write(tmp_path / "schema.txt", _INT_SCHEMA)
+
+
+def test_run_empty_product_prints_floats(tmp_path, capsys):
+    schema = _int_table(tmp_path)
+    query = _write(tmp_path / "q.sql", "SELECT product(1.0 + 0.01 * t.a) FROM t WHERE t.b > 100")
+    assert main(["run", "--query", query, "--schema", schema, "--data", str(tmp_path),
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert type(report["initial"]) is float and type(report["modified"]) is float, out
+
+
+def test_calls_in_one_process_share_only_the_parser(tmp_path, capsys, monkeypatch):
+    from dersens import cli
+
+    monkeypatch.delenv("DERSENS_SEED", raising=False)
+    cli._build_parser.cache_clear()
+    schema = _int_table(tmp_path)
+    query = _write(tmp_path / "q.sql", "SELECT sum(t.a) FROM t WHERE t.a > 2 OR t.b < 5")
+    run = ["run", "--query", query, "--schema", schema, "--data", str(tmp_path), "--json"]
+
+    def report(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = report(run)
+    assert cli._build_parser() is cli._build_parser()
+    flagged = report(["privatize", *run[1:], "--seed", "7", "--precise", "--xor"])
+    assert flagged["modified"] != first["modified"]  # the flags matter here
+    assert report(run) == first
+
+    # bench rewrites the paths of its own arguments only; a later run reads its own
+    bench = report(["bench", "--rows", "40", "--json", "--data", str(tmp_path / "bench")])
+    assert bench["rows"] == 40
+    assert report(run) == first

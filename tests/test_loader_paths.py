@@ -1,10 +1,11 @@
-"""The two CSV loader paths agree: numpy's C text reader (`sqlfront._loadtxt`,
-one np.loadtxt call per file) and the csv-module path it falls back to.
+"""The CSV loader paths agree: numpy's C text reader (`sqlfront._loadtxt`,
+one np.loadtxt call per table file), the split reader of sensRows files
+(`sqlfront._split_flags`) and the csv-module path both fall back to.
 
 Every generated data directory is loaded twice, once as `load_database`
-reads it and once with the C path switched off.  Both must give identical
-arrays (float bits, signs of zero and NaN, dtype, read-only flag) or the
-same error; so the C path never accepts a file the csv path rejects."""
+reads it and once with both fast paths switched off.  Both must give
+identical arrays (float bits, signs of zero and NaN, dtype, read-only flag)
+or the same error; so no fast path accepts a file the csv path rejects."""
 
 from __future__ import annotations
 
@@ -145,7 +146,8 @@ def _both_paths(schema_text: str, table: str, sens: str):
             with open(os.path.join(d, name), "w", newline="") as fh:
                 fh.write(text)
         fast = _outcome(d, schema_text)
-        with mock.patch.object(sf, "_loadtxt", lambda *args: None):
+        with mock.patch.object(sf, "_loadtxt", lambda *args: None), \
+                mock.patch.object(sf, "_split_flags", lambda path: None):
             reference = _outcome(d, schema_text)
     return fast, reference
 
@@ -219,3 +221,64 @@ def test_long_line_check(length):
     # lines are all under limit // 2 never is
     text = "\n".join(["a" * 3, "b" * length, "c" * 7]) + "\n"
     assert sf._may_have_long_line(text, 20) == (length > 20)
+
+
+def _split_flags_of(tmp_path, text: str):
+    path = tmp_path / "t_sensRows.csv"
+    path.write_bytes(text.encode())
+    return sf._split_flags(str(path))
+
+
+def _csv_flags_of(tmp_path, text: str):
+    path = tmp_path / "t_sensRows.csv"
+    path.write_bytes(text.encode())
+    with sf._csv_reader(str(path)) as reader:
+        assert next(reader) == ["ID", "sensitive"]
+        return sf._read_cells(reader, str(path), 2)
+
+
+@pytest.mark.parametrize("text", [
+    "ID,sensitive\n1,1\n2,0\n3,1",                 # no last line end
+    "ID,sensitive\n1,1\n2,0\n3,1\n",
+    "ID,sensitive\n,1\n x ,0\n#3,1\n\t,0\n",       # empty, spaced and odd IDs
+])
+def test_plain_sens_rows_take_the_split(tmp_path, text):
+    got = _split_flags_of(tmp_path, text)
+    assert got is not None and list(got) == _csv_flags_of(tmp_path, text)
+
+
+@pytest.mark.parametrize("text", [
+    "ID,sensitive\r\n1,1\r\n2,0\r\n",             # CRLF line ends
+    "ID,sensitive\n1,1\n2\r3,0\n",                 # a carriage return in a record
+    'ID,sensitive\n"1",1\n2,0\n',                  # a quoted ID
+    "ID,sensitive\n1,1\n\n2,0\n",                  # a blank line in the middle
+    "ID,sensitive\n\n1,1\n2,0\n",                  # a blank line first
+    "ID,sensitive\n1,1\n2,0\n\n",                  # a blank line last
+    "ID,sensitive\n1,1\n  \n2,0\n",                # a whitespace-only line
+    "ID,sensitive\n1,1,0\n2,0\n",                  # a record with three fields
+    "ID,sensitive\n1,1,0\n0\n",                    # ... and one with one: four cells
+    "ID,sensitive\n1,yes\n2,0\n",                  # a flag other than 0 or 1
+    "ID,sensitive\n",                              # header only
+    "ID,sensitive",
+    "ID,sensitive\n1,1\n2\x000,0\n",                # a NUL
+    "ID,flag\n1,1\n",                              # another header
+])
+def test_sens_rows_the_split_cannot_take_go_to_the_csv_module(tmp_path, text):
+    assert _split_flags_of(tmp_path, text) is None
+
+
+def test_sens_rows_past_the_csv_field_limit_go_to_the_csv_module(tmp_path):
+    text = "ID,sensitive\n" + "x" * 60 + ",1\n"
+    old = csv.field_size_limit(40)
+    try:
+        assert _split_flags_of(tmp_path, text) is None
+    finally:
+        csv.field_size_limit(old)
+    assert _split_flags_of(tmp_path, text) == (["x" * 60], ["1"])
+
+
+def test_sens_rows_not_utf8_or_unreadable_go_to_the_csv_module(tmp_path):
+    path = tmp_path / "t_sensRows.csv"
+    path.write_bytes(b"ID,sensitive\n\xff,1\n")
+    assert sf._split_flags(str(path)) is None
+    assert sf._split_flags(str(tmp_path)) is None

@@ -21,11 +21,9 @@ from dersens.analyzer import (
 )
 from dersens.exprs import (
     AnalysisError,
-    Beta,
     EvalError,
     ScalarExpr,
     SmoothBound,
-    combine_ds,
     eval_scalar,
     smooth_bound,
 )

@@ -356,6 +356,11 @@ def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWit
     carries the per-variable factors the sensitivity expressions divide by.
     Scaling is applied even when the unscaled query norm is already
     dominated, because any slack directly shrinks the noise.
+
+    A column that occurs k times is charged about k^2 times instead of k:
+    its k slots shrink its scale to about 1/k, and `exprs.analyze` already
+    sums its partial derivatives over all k occurrences.  So
+    `sum(t.a + t.a)` gets twice the sensitivity of `sum(2.0 * t.a)`.
     """
     prefix = alias + "."
     slots: list[NormExpr] = []
@@ -419,28 +424,24 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
             "sensitive columns without a norm declaration: " + ", ".join(sorted(leftover))
         )
 
-    bound = ex.analyze(row_expr, ex._Env(targets=targets, seeds=seeds))
+    env = ex._Env(targets=targets, seeds=seeds)
+    bound = ex.analyze(row_expr, env)
 
+    # each table's terms meet in the dual of its witness-scaled query norm,
+    # lp 1 over one (scaled s_v v) slot per column
     warnings: list[str] = []
     table_plans: list[TableSensPlan] = []
-    rate_total: dict[str, float] = {}
+    slots: list[NormExpr] = []
     for alias in ctx.sensitive_aliases:
         witness = witnesses[alias]
         table = ctx.aliases[alias]
         ts = ctx.schema.table(table)
-        terms = [bound.ds[v] for v in sorted(witness.var_scale) if v in bound.ds]
-        for v in witness.var_scale:
-            if v in bound.ds_rates:
-                for w, r in bound.ds_rates[v].items():
-                    rate_total[w] = max(rate_total.get(w, 0.0), r)
-        if not terms:
-            combined: ScalarExpr = ex.ZERO
+        mine = [Scale(witness.effective(v), Var(v)) for v in sorted(witness.var_scale)]
+        slots += mine
+        combined = ex.dual_ds(Combine(1.0, tuple(mine)), bound.ds) if mine else ex.ZERO
+        if combined == ex.ZERO:
             warnings.append(f"table '{table}' is sensitive but the query does not touch it")
-        elif len(terms) == 1:
-            combined = terms[0]
-        else:
-            combined = Max(tuple(abs_expr(t) for t in terms))
-        if agg == "PRODUCT" and terms:
+        elif agg == "PRODUCT":
             pb = Opaque(key=PRODBOUND_KEY, sql=_prodbound_sql(ctx, bound.ubf), nonneg=True)
             low.opaques[PRODBOUND_KEY] = OpaqueSpec("prodbound", expr=bound.ubf)
             combined = mul(abs_expr(combined), pb)
@@ -449,9 +450,9 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
             TableSensPlan(alias, table, combined, group_agg, ts.rows_p, witness)
         )
 
-    achieved = 0.0
-    for v, s in ((v, 1.0 / seeds[v]) for v in seeds):
-        achieved = max(achieved, rate_total.get(v, 0.0) / s)
+    # only the rates of the sensitivity terms: the released bound is theirs
+    rates = ex._rate_max(*bound.ds_rates.values())
+    achieved = ex.dual_rate(Combine(1.0, tuple(slots)), rates, env) if slots else 0.0
     feasible = achieved <= params.beta * (1.0 + 1e-9)
     if not table_plans:
         warnings.append("no sensitive tables in this query; sensitivity is 0")
@@ -626,20 +627,19 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
         # keep the group structure with a constant zero per row
         live = plan.table_plans[:1]
     parts = [_emit_table_sensitivity(froms, pubs, tp, memo) for tp in live]
-    db_p = ctx.schema.database_p
+    q = ex.dual_exponent(ctx.schema.database_p)
     if not parts:
         sensitivity = "SELECT 0.0;"
     elif len(parts) == 1:
         sensitivity = parts[0] + ";"
-    elif db_p == INF:
+    elif q == 1.0:
         sensitivity = "SELECT " + " + ".join(f"({p})" for p in parts) + ";"
-    elif db_p == 1.0:
+    elif q == INF:
         sensitivity = "SELECT greatest(" + ", ".join(f"({p})" for p in parts) + ");"
     else:
-        raise NotImplementedError(
-            "SQL emission supports database combiners lp 1 and linf; "
-            f"got lp {db_p} (the in-process engine evaluates any p)"
-        )
+        # the lq norm across tables, q dual to the database combiner
+        powers = " + ".join(f"(({p}) ^ {_fmt(q)})" for p in parts)
+        sensitivity = f"SELECT (({powers}) ^ {_fmt(1.0 / q)});"
     return modified, sensitivity
 
 
@@ -654,13 +654,12 @@ def _emit_table_sensitivity(
         f"SELECT {tp.group_agg}(abs({render(tp.combined, memo)})) AS sdsg "
         f"FROM {froms}, {sens_table} WHERE {where} GROUP BY {sens_table}.ID"
     )
-    if tp.rows_p == 1.0:
+    q = ex.dual_exponent(tp.rows_p)
+    if q == INF:
         outer_agg = "max(sdsg)"
-    elif tp.rows_p == INF:
+    elif q == 1.0:
         outer_agg = "sum(sdsg)"
     else:
-        raise NotImplementedError(
-            "SQL emission supports row combiners lp 1 and linf; "
-            f"got lp {tp.rows_p} (the in-process engine evaluates any p)"
-        )
+        # the lq norm across groups, q dual to the row combiner
+        outer_agg = f"(sum((sdsg ^ {_fmt(q)})) ^ {_fmt(1.0 / q)})"
     return f"SELECT {outer_agg} FROM ({inner}) AS sub"

@@ -8,19 +8,34 @@ Expressions are immutable trees over table columns.  Two views matter:
   the function and its sensitivity whose logarithm moves at a bounded rate
   per unit of norm distance, which is what makes the noise magnitude itself
   safe to reveal.
+
+Both the bound and its rate are measured in the dual of a composite norm:
+`dual_walk` folds a normalized norm once, `dual_ds` combines per-column
+sensitivity bounds with it and `dual_rate` the rates.  `smooth_bound` and
+`analyzer.build_plan` share these folds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from dersens.norms import INF, Combine, NormExpr, Scale, Var, lp_norm
+from dersens.norms import (
+    INF,
+    Combine,
+    NormExpr,
+    Scale,
+    Var,
+    _occurrences,
+    lp_norm,
+    norm_vars,
+    normalize,
+)
 
 __all__ = [
     "AnalysisError",
-    "Beta",
     "Bound",
     "Col",
     "Const",
@@ -48,8 +63,10 @@ __all__ = [
     "add",
     "analyze",
     "checked_fsum",
-    "combine_ds",
+    "dual_ds",
     "dual_exponent",
+    "dual_rate",
+    "dual_walk",
     "eval_scalar",
     "expr_vars",
     "mul",
@@ -227,6 +244,8 @@ ScalarExpr = Union[
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+T = TypeVar("T")
 
 
 def abs_expr(e: ScalarExpr) -> ScalarExpr:
@@ -439,6 +458,26 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def dual_walk(
+    norm: NormExpr,
+    leaf: Callable[[str, float], T],
+    fold: Callable[[float, list[T], Combine], T],
+) -> T:
+    """Fold a normalized norm bottom-up: `leaf(v, s)` at each variable, s the
+    product of the Scale factors above it, and `fold(q, parts, node)` at each
+    combination, q the dual exponent of its p and `parts` its children's
+    results in order."""
+
+    def walk(n: NormExpr, s: float) -> T:
+        if isinstance(n, Var):
+            return leaf(n.name, s)
+        if isinstance(n, Scale):
+            return walk(n.child, s * n.factor)
+        return fold(dual_exponent(n.p), [walk(c, s) for c in n.children], n)
+
+    return walk(norm, 1.0)
+
+
 def _fold_max(parts: list[ScalarExpr]) -> ScalarExpr:
     if all(isinstance(p, Const) for p in parts):
         return Const(max(p.value for p in parts))
@@ -449,6 +488,40 @@ def _fold_lp(q: float, parts: list[ScalarExpr]) -> ScalarExpr:
     if all(isinstance(p, Const) for p in parts):
         return Const(lp_norm([abs(p.value) for p in parts], q))
     return LpNorm(q, tuple(parts))
+
+
+def dual_ds(norm: NormExpr, ds: Mapping[str, ScalarExpr]) -> ScalarExpr:
+    """The dual-norm length of per-variable sensitivity bounds that already
+    absorbed their leaf scales (`Bound.ds`), so Scale factors are not applied
+    again."""
+
+    def fold(q: float, parts: list[ScalarExpr], node: Combine) -> ScalarExpr:
+        live = [p for p in parts if p != ZERO]
+        if len(live) <= 1:
+            return live[0] if live else ZERO
+        if q == INF:
+            return _fold_max([abs_expr(p) for p in live])
+        if q == 1.0:
+            return functools.reduce(add, live)
+        return _fold_lp(q, live)
+
+    return dual_walk(norm, lambda v, s: ds.get(v, ZERO), fold)
+
+
+def dual_rate(norm: NormExpr, rates: Mapping, env: _Env) -> float:
+    """Smallest beta such that the rate functional (per-coordinate terms plus
+    joint block terms) is at most beta * ||dx||_norm for every displacement.
+    A joint term is keyed by the variable set of a block of `env.blocks` and
+    charged at that block's combination."""
+
+    def fold(q: float, parts: list[float], node: Combine) -> float:
+        out = lp_norm(parts, q)
+        key = norm_vars(node)
+        if key in rates and env.blocks[key][0] == node.p:
+            out += rates[key] / env.blocks[key][1]
+        return out
+
+    return dual_walk(norm, lambda v, s: float(rates.get(v, 0.0)) / s, fold)
 
 
 def _is_matching_lpnorm(f: ScalarExpr, norm: NormExpr) -> bool:
@@ -470,18 +543,6 @@ def _is_matching_lpnorm(f: ScalarExpr, norm: NormExpr) -> bool:
 # ---------------------------------------------------------------------------
 # Smooth upper bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Beta:
-    """Requested smoothness: log of the bound moves at most this fast per
-    unit of norm distance."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value > 0):
-            raise ValueError("smoothness parameter must be positive")
 
 
 @dataclass
@@ -523,11 +584,7 @@ class _Env:
 
     targets: Mapping[str, float]
     seeds: Mapping[str, float]
-    blocks: Mapping[frozenset[str], tuple[float, float]] = None  # varset -> (p, scale)
-
-    def __post_init__(self):
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", {})
+    blocks: Mapping[frozenset[str], tuple[float, float]] = field(default_factory=dict)  # varset -> (p, scale)
 
     def scaled(self, a: float) -> "_Env":
         return _Env(
@@ -867,57 +924,25 @@ def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
     return IfNonzero(d, cof)
 
 
-def _leaf_scales(norm: NormExpr) -> dict[str, float]:
-    out: dict[str, float] = {}
-
-    def walk(n: NormExpr, acc: float) -> None:
-        if isinstance(n, Var):
-            # repeated variables: the strictest (largest) scale governs budgets
-            out[n.name] = max(out.get(n.name, 0.0), acc)
-        elif isinstance(n, Scale):
-            walk(n.child, acc * n.factor)
-        else:
-            for c in n.children:
-                walk(c, acc)
-
-    walk(norm, 1.0)
-    return out
-
-
 def _norm_blocks(norm: NormExpr) -> dict[frozenset[str], tuple[float, float]]:
     """Uniformly scaled flat lp blocks of a normalized norm, by variable set."""
-    from dersens.norms import normalize as _normalize
-
     out: dict[frozenset[str], tuple[float, float]] = {}
 
-    def walk(n: NormExpr) -> None:
-        if isinstance(n, Scale):
-            walk(n.child)
-            return
-        if not isinstance(n, Combine):
-            return
-        leaves: list[tuple[str, float]] = []
-        flat = True
-        for c in n.children:
-            if isinstance(c, Var):
-                leaves.append((c.name, 1.0))
-            elif isinstance(c, Scale) and isinstance(c.child, Var):
-                leaves.append((c.child.name, c.factor))
-            else:
-                flat = False
-            walk(c)
-        if flat and leaves:
-            names = [v for v, _ in leaves]
-            scales = {s for _, s in leaves}
-            if len(set(names)) == len(names) and len(scales) == 1:
-                out[frozenset(names)] = (n.p, scales.pop())
+    def fold(q: float, parts: list, node: Combine) -> None:
+        # a variable gives (name, scale), a nested combination None
+        if None not in parts and len({s for _, s in parts}) == 1:
+            out[frozenset(v for v, _ in parts)] = (node.p, parts[0][1])
 
-    walk(_normalize(norm))
+    dual_walk(norm, lambda v, s: (v, s), fold)
     return out
 
 
 def env_for_norm(norm: NormExpr, beta: float) -> _Env:
-    scales = _leaf_scales(norm)
+    """Budgets for a normalized norm; a repeated variable is governed by its
+    strictest (largest) leaf scale."""
+    scales: dict[str, float] = {}
+    for v, s in _occurrences(norm):
+        scales[v] = max(scales.get(v, 0.0), s)
     return _Env(
         targets={v: beta * s for v, s in scales.items()},
         seeds={v: 1.0 / s for v, s in scales.items()},
@@ -925,114 +950,23 @@ def env_for_norm(norm: NormExpr, beta: float) -> _Env:
     )
 
 
-def _dual_rate(norm: NormExpr, rates: Mapping) -> float:
-    """Smallest beta such that the rate functional (per-coordinate terms plus
-    joint block terms) is at most beta * ||dx||_norm for every displacement."""
-    from dersens.norms import normalize as _normalize
-
-    def walk(n: NormExpr) -> float:
-        if isinstance(n, Var):
-            return float(rates.get(n.name, 0.0))
-        if isinstance(n, Scale):
-            return walk(n.child) / n.factor
-        base = lp_norm([walk(c) for c in n.children], dual_exponent(n.p))
-        leaves: list[tuple[str, float]] = []
-        for c in n.children:
-            if isinstance(c, Var):
-                leaves.append((c.name, 1.0))
-            elif isinstance(c, Scale) and isinstance(c.child, Var):
-                leaves.append((c.child.name, c.factor))
-        if len(leaves) == len(n.children):
-            key = frozenset(v for v, _ in leaves)
-            scales = {s for _, s in leaves}
-            if key in rates and len(scales) == 1:
-                base += rates[key] / scales.pop()
-        return base
-
-    return walk(_normalize(norm))
-
-
-def bound_rates(b: Bound) -> dict[str, float]:
-    out = dict(b.ubf_rates)
-    for v in b.ds:
-        out = _rate_max(out, b.ds_rates[v])
-    return out
-
-
-def smooth_bound(f: ScalarExpr, beta: Beta | float, norm: NormExpr) -> SmoothBound:
+def smooth_bound(f: ScalarExpr, beta: float, norm: NormExpr) -> SmoothBound:
     """Smooth upper bounds on |f| and on its derivative sensitivity w.r.t. the
     given norm.  When the structure cannot reach the requested smoothness
     (the reported beta exceeds the request), feasible is False and the
     reported beta is the minimum this construction can achieve; raising
     epsilon accordingly restores the privacy guarantee.
     """
-    req = beta.value if isinstance(beta, Beta) else float(beta)
-    if not req > 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
-    env = env_for_norm(norm, req)
+    norm = normalize(norm)
+    env = env_for_norm(norm, beta)
     b = analyze(f, env)
-    ubds = _dual_combine_seeded(norm, b.ds)
-    if _is_matching_lpnorm(f, norm):
-        ubds = ONE
-    achieved_f = _dual_rate(norm, b.ubf_rates)
-    achieved_d = _dual_rate(norm, bound_rates(b))
-    achieved = max(achieved_f, achieved_d)
+    # smooth in both bounds: the rates of ubf and of every sensitivity term
+    achieved = dual_rate(norm, _rate_max(b.ubf_rates, *b.ds_rates.values()), env)
     return SmoothBound(
         ubf=b.ubf,
-        ubds=ubds,
-        beta=achieved if achieved > 0 else req,
-        feasible=achieved <= req * (1.0 + 1e-9),
+        ubds=ONE if _is_matching_lpnorm(f, norm) else dual_ds(norm, b.ds),
+        beta=achieved if achieved > 0 else beta,
+        feasible=achieved <= beta * (1.0 + 1e-9),
     )
-
-
-def _dual_combine_seeded(norm: NormExpr, ds: Mapping[str, ScalarExpr]) -> ScalarExpr:
-    """Dual combination for per-variable bounds that already absorbed the
-    norm's leaf scales: Scale nodes are skipped to avoid dividing twice."""
-
-    def walk(n: NormExpr) -> ScalarExpr:
-        if isinstance(n, Var):
-            return ds.get(n.name, ZERO)
-        if isinstance(n, Scale):
-            return walk(n.child)
-        parts = [walk(c) for c in n.children]
-        live = [p for p in parts if p != ZERO]
-        if not live:
-            return ZERO
-        if len(live) == 1:
-            return live[0]
-        q = dual_exponent(n.p)
-        if q == INF:
-            return _fold_max([abs_expr(p) for p in live])
-        if q == 1.0:
-            out = live[0]
-            for p in live[1:]:
-                out = add(out, p)
-            return out
-        return _fold_lp(q, live)
-
-    return walk(norm)
-
-
-def combine_ds(parts: list[tuple[ScalarExpr, frozenset[str]]], p: float) -> ScalarExpr:
-    """Combine per-block sensitivity expressions across an lp block structure:
-    the result is the l_{p/(p-1)} length of the block vector (max for p=1,
-    sum for p=inf).  Blocks must use disjoint variable sets."""
-    seen: set[str] = set()
-    for _, vs in parts:
-        if seen & vs:
-            raise AnalysisError(
-                "blocks share variables; use the dependent-variable product/sum rules"
-            )
-        seen |= vs
-    exprs = [e for e, _ in parts]
-    if len(exprs) == 1:
-        return exprs[0]
-    q = dual_exponent(p)
-    if q == INF:
-        return _fold_max([abs_expr(e) for e in exprs])
-    if q == 1.0:
-        out = exprs[0]
-        for t in exprs[1:]:
-            out = add(out, t)
-        return out
-    return _fold_lp(q, exprs)

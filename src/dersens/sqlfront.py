@@ -20,7 +20,7 @@ from itertools import islice
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
-from dersens.norms import NormExpr, NormError, norm_vars, parse_norm
+from dersens.norms import NormExpr, norm_vars, parse_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -788,7 +788,7 @@ def _apply_schema_lines(text: str, schema: Schema) -> None:
                 schema.database_p = _parse_combiner(rest)
             else:
                 raise SchemaError(f"unknown schema directive '{word}'")
-        except (SchemaError, NormError) as exc:
+        except ValueError as exc:  # SchemaError, NormError, or a number float() rejects
             raise SchemaError(f"line {lineno}: {exc}") from None
 
 
@@ -798,7 +798,7 @@ def _parse_combiner(rest: str) -> float:
         return math.inf
     if len(bits) == 2 and bits[0] == "lp":
         p = float(bits[1])
-        if p < 1.0:
+        if not p >= 1.0:
             raise SchemaError(f"combiner exponent must be >= 1, got {p}")
         return p
     raise SchemaError("combiner must be 'lp <p>' or 'linf'")

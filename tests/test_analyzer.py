@@ -374,6 +374,32 @@ def test_golden_shapes():
     assert tp.witness.method == "elaborate" and len(tp.witness.var_scale) == 3
 
 
+def test_smooth_bound_gives_each_tables_combined_term():
+    # build_plan and smooth_bound share one dual-norm accounting: under a
+    # table's witness-scaled query norm lp 1 (scaled s_v v) ..., smooth_bound
+    # of the row expression is the plan's term for that table (no golden case
+    # is a PRODUCT, whose term carries a prodbound factor on top).  In
+    # join3_sensitive the rows of part and supplier are multiplied by
+    # partsupp's columns, which build_plan budgets under partsupp's witness
+    # but a norm of one table does not cover.
+    compared = 0
+    for name, (schema_text, sql, params) in GOLDEN_CASES.items():
+        _, plan = _plan_for(sql, schema_text, params)
+        for tp in plan.table_plans:
+            w = tp.witness
+            if not w.var_scale:
+                assert tp.combined == ex.ZERO, (name, tp.alias)
+                continue
+            norm = Combine(1.0, tuple(Scale(w.effective(v), Var(v)) for v in sorted(w.var_scale)))
+            if name == "join3_sensitive" and tp.alias != "partsupp":
+                with pytest.raises(ex.AnalysisError, match="partsupp.ps_supplycost"):
+                    ex.smooth_bound(plan.row_expr, params.beta, norm)
+                continue
+            assert ex.smooth_bound(plan.row_expr, params.beta, norm).ubds == tp.combined, name
+            compared += 1
+    assert compared == 7
+
+
 def test_emit_zero_sensitivity_keeps_group_structure():
     # sensitive table, but the count touches no sensitive column
     schema_text = "table t\ncol x int\ncol s text\nnorm lp 1.0 x\n"
@@ -405,11 +431,42 @@ def test_emitted_sql_reparses_and_reevaluates(lineitem_db):
         assert rt_sens == pytest.approx(sens, rel=1e-9)
 
 
-def test_emit_rejects_unsupported_row_combiner():
-    schema_text = "table t\ncol x real\nrows lp 2.0\nnorm lp 1.0 x\n"
-    _, plan = _plan_for("SELECT sum(t.x) FROM t", schema_text)
-    with pytest.raises(NotImplementedError):
-        emit_sql(plan)
+LP_COMBINER_SCHEMA = """\
+table t
+col x real
+col k int
+rows lp 2.0
+norm lp 1.0 x
+
+table u
+col y real
+col k int
+rows lp 1.5
+norm lp 1.0 y
+
+database lp 3.0
+"""
+
+
+def test_emitted_lp_combiners_match_engine(tmp_path):
+    # a combiner lp p with p not 1 or inf is emitted as a power sum with the
+    # dual exponent q = p / (p - 1): across groups (rows lp 2.0 and 1.5) and
+    # across the tables' subqueries (database lp 3.0)
+    rng = random.Random(5)
+    for name, col in (("t", "x"), ("u", "y")):
+        rows = [[round(rng.uniform(0.0, 6.0), 1), i % 2] for i in range(6)]
+        write_table(str(tmp_path), name, [col, "k"], rows, [i % 3 != 0 for i in range(6)])
+    schema = parse_schema(LP_COMBINER_SCHEMA)
+    db = load_database(str(tmp_path), schema)
+    con = strict_sqlite(db)
+    for sql, power in (("SELECT sum(t.x) FROM t", "^ 2.0"),
+                       ("SELECT sum(t.x * u.y) FROM t, u WHERE t.k = u.k AND t.x < 4.5", "^ 1.5")):
+        plan = build_plan(validate(parse_query(sql), schema), SOFT_PARAMS)
+        _, sensitivity = emit_sql(plan)
+        assert power in sensitivity, sql
+        want, _ = eng.run_sensitivity(plan, db)
+        assert want > 0.0
+        assert sqlite_value(con, sensitivity) == pytest.approx(want, rel=1e-9), sql
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dersens.exprs import (
     Sigmoid,
     Sum,
     Tauoid,
-    combine_ds,
     eval_scalar,
     expr_vars,
     smooth_bound,
@@ -341,23 +340,8 @@ def test_smoothness_and_upper_bound(name, f, norm, beta):
 
 
 # ---------------------------------------------------------------------------
-# block combination
+# block combination: the paper's ship example
 # ---------------------------------------------------------------------------
-
-
-def test_combine_ds_l1_blocks_take_max():
-    c = combine_ds([(Col("c1"), frozenset({"x"})), (Col("c2"), frozenset({"y"}))], 1.0)
-    assert eval_scalar(c, {"c1": 3.0, "c2": 5.0}) == 5.0
-
-
-def test_combine_ds_single_block_identity():
-    c = combine_ds([(Col("c1"), frozenset({"x"}))], 2.0)
-    assert c == Col("c1")
-
-
-def test_combine_ds_rejects_shared_variables():
-    with pytest.raises(AnalysisError):
-        combine_ds([(Col("c1"), frozenset({"x"})), (Col("c2"), frozenset({"x"}))], 1.0)
 
 
 def test_ship_voyage_bound():
@@ -382,11 +366,3 @@ def test_ship_voyage_bound():
         ub_r = r if r >= zeta else zeta * math.exp(r / zeta - 1.0)
         expected = max(math.sqrt(2.0), ub_r / zeta) * math.exp(-pt["w"] / zeta)
         assert got == pytest.approx(expected, rel=1e-9)
-
-
-def test_combine_ds_ship_shape():
-    # the two component sensitivities meet in a max at the l1 level
-    c1 = Prod((Const(math.sqrt(2)), Exp(-0.5, Col("w"))))
-    c2 = Prod((Exp(-0.5, Col("w")), Col("r")))
-    c = combine_ds([(c1, frozenset({"s", "t"})), (c2, frozenset({"w"}))], 1.0)
-    assert isinstance(c, Max)

@@ -275,6 +275,12 @@ def test_parse_schema_rejects_a_column_declared_twice():
         parse_schema("table t\ncol a int\ncol b real\ncol a text\n")
 
 
+@pytest.mark.parametrize("line", ["rows lp nan", "rows lp 0.5", "rows lp abc", "database lp nan"])
+def test_parse_schema_rejects_a_bad_combiner(line):
+    with pytest.raises(SchemaError, match="line 3: "):
+        parse_schema(f"table t\ncol a real\n{line}\nnorm lp 1.0 a\n")
+
+
 def test_parse_schema_rejects_unknown_norm_column():
     with pytest.raises(SchemaError, match="unknown column"):
         parse_schema("table r\ncol a real\nnorm lp 1.0 b\n")

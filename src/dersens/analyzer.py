@@ -61,7 +61,6 @@ from dersens import sqlfront as sf
 from dersens.sqlfront import (
     AnalysisContext,
     BinOp,
-    BoolCol,
     BoolOp,
     Cmp,
     ColRef,
@@ -153,16 +152,13 @@ class _Lowerer:
         self.opaques: dict[str, OpaqueSpec] = {}
         self._n_ind = 0
 
-    def _resolve(self, ref: ColRef) -> sf.ResolvedRef:
-        return sf._resolve_colref(ref, self.ctx.aliases, self.ctx.schema)
-
     def scalar(self, e: SqlExpr) -> ScalarExpr:
         if isinstance(e, Number):
             return Const(e.value)
         if isinstance(e, StrLit):
             raise SchemaError("string literal in numeric context")
         if isinstance(e, ColRef):
-            r = self._resolve(e)
+            r = self.ctx.refs[e.name]
             if r.type == "text":
                 raise SchemaError(f"text column '{r.name}' in numeric context")
             if r.sensitive:
@@ -216,10 +212,10 @@ class _Lowerer:
     def lower_pred(self, p: Pred) -> ScalarExpr:
         if isinstance(p, TruePred):
             return ex.ONE
-        if isinstance(p, (LikePred, BoolCol)):
+        if isinstance(p, LikePred):
             return self.indicator(p)
         if isinstance(p, Cmp):
-            if not sf._atom_sensitive(p, self.ctx.aliases, self.ctx.schema):
+            if not self.ctx.sensitive(p):
                 return self.indicator(p)
             return self._lower_cmp(p)
         if isinstance(p, NotPred):
@@ -242,22 +238,13 @@ class _Lowerer:
             return out
         raise SchemaError(f"cannot lower predicate {type(p).__name__}")
 
-    def _atom_grid(self, p: Cmp) -> float | None:
-        """Grid density of the compared difference when the exact clamped
-        lowering applies: 1 for integers, the declared k for gridded reals."""
-        if not self.params.precise_ints:
-            return None
-        k1 = sf.expr_precision(p.lhs, self.ctx.aliases, self.ctx.schema)
-        k2 = sf.expr_precision(p.rhs, self.ctx.aliases, self.ctx.schema)
-        if k1 is None or k2 is None:
-            return None
-        big, small = max(k1, k2), min(k1, k2)
-        k = big if (big / small).is_integer() else k1 * k2
-        return k if k <= sf._PRECISION_CAP else None
-
     def _lower_cmp(self, p: Cmp) -> ScalarExpr:
         alpha = self.params.alpha
-        grid = self._atom_grid(p)
+        # the grid density of the compared difference, when the exact
+        # clamped lowering applies: 1 for integers, k for gridded reals
+        grid = None
+        if self.params.precise_ints:
+            grid = sf.expr_precision(BinOp("-", p.lhs, p.rhs), self.ctx.refs)
         lhs, rhs = self.scalar(p.lhs), self.scalar(p.rhs)
         if p.op in ("<", "<="):
             a, b = lhs, rhs

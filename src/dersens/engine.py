@@ -9,8 +9,8 @@ cross-table conjuncts as masks on the joined rows (a cross product is formed
 and filtered a block at a time), and returns the join as per-alias row
 numbers in nested-loop order (first table slowest).  Each ScalarExpr is
 compiled once into numpy closures; structurally equal subtrees share one
-closure and one value per row set.  Under IfGE, IfNonzero and CASE each
-branch is evaluated only on the rows that take it, so domain errors are
+closure and one value per row set.  Under IfGE and IfNonzero each branch
+is evaluated only on the rows that take it, so domain errors are
 raised exactly for rows a tree walk would evaluate.  Aggregation is exact
 (`math.fsum`, ordered products and ordered per-group accumulation), so
 repeated runs are bit-identical.
@@ -62,9 +62,7 @@ from dersens.norms import INF, lp_norm
 from dersens.sqlfront import (
     AnalysisContext,
     BinOp,
-    BoolCol,
     BoolOp,
-    CaseWhen,
     Cmp,
     ColRef,
     Database,
@@ -207,17 +205,14 @@ class Relation:
 
 def _load(ctx: AnalysisContext, db: Database) -> dict[str, dict[str, np.ndarray]]:
     """Per alias: the ID and sensitivity arrays and the columns the query
-    reads, bound by reference (the loaded arrays are read-only)."""
-    q = ctx.query
-    read = {(r.table, r.column) for part in (q.select, q.where) if part is not None
-            for r in sf._walk_refs(part)}
+    reads (`ctx.refs`), bound by reference (the loaded arrays are read-only)."""
     tables: dict[str, dict[str, np.ndarray]] = {}
-    for table, alias in q.tables:
+    for table, alias in ctx.query.tables:
         td = db.table(table)
         cols = {f"{alias}.ID": td.ids, f"{alias}.__sens__": td.sensitive}
-        for a, c in read:
-            if a == alias and c in td.columns:
-                cols[f"{alias}.{c}"] = td.columns[c]
+        for name, r in ctx.refs.items():
+            if r.alias == alias and r.column in td.columns:
+                cols[name] = td.columns[r.column]
         tables[alias] = cols
     return tables
 
@@ -356,16 +351,6 @@ def _elementwise(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=float) if out else np.empty(0)
 
 
-def _cases(n: int, take, mask: np.ndarray, if_true, if_false) -> np.ndarray:
-    """CASE WHEN mask: each branch is evaluated only on the rows taking it."""
-    parts = [(m, fn(take(m))) for m, fn in ((mask, if_true), (~mask, if_false)) if m.any()]
-    kind = object if any(v.dtype == object for _, v in parts) else float
-    out = np.empty(n, dtype=kind)
-    for m, v in parts:
-        out[m] = v
-    return out
-
-
 def _values(e: SqlExpr, rel: Relation) -> np.ndarray:
     n = len(rel)
     if isinstance(e, Number):
@@ -390,9 +375,6 @@ def _values(e: SqlExpr, rel: Relation) -> np.ndarray:
             return _elementwise(_pow, a, b)
     if isinstance(e, FuncCall):
         return _elementwise(partial(_call, e.name), *(_values(a, rel) for a in e.args))
-    if isinstance(e, CaseWhen):
-        return _cases(n, rel.take, _mask(e.cond, rel),
-                      lambda r: _values(e.then, r), lambda r: _values(e.other, r))
     raise EngineError(f"cannot evaluate {type(e).__name__} over a table")
 
 
@@ -411,8 +393,6 @@ def _mask(p: Pred, rel: Relation) -> np.ndarray:
         hit = np.array([rx.match(str(v)) is not None for v in _column(rel, p.col).tolist()],
                        dtype=bool)
         return ~hit if p.negated else hit
-    if isinstance(p, BoolCol):
-        return np.array([bool(v) for v in _column(rel, p.col).tolist()], dtype=bool)
     if isinstance(p, NotPred):
         return ~_mask(p.arg, rel)
     if isinstance(p, BoolOp):
@@ -612,8 +592,17 @@ class _Compiler:
         if isinstance(e, IfGE):
             test, threshold = self(e.test), self(e.threshold)
             if_true, if_false = self(e.if_true), self(e.if_false)
-            return lambda fr: _cases(fr.n, fr.take, test(fr) >= threshold(fr),
-                                     if_true, if_false)
+
+            def if_ge(fr):
+                # each branch is evaluated only on the rows that take it
+                mask = test(fr) >= threshold(fr)
+                out = np.empty(fr.n)
+                for m, branch in ((mask, if_true), (~mask, if_false)):
+                    if m.any():
+                        out[m] = branch(fr.take(m))
+                return out
+
+            return if_ge
         guard, factor = self(e.guard), self(e.factor)
 
         def if_nonzero(fr):

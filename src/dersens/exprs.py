@@ -559,7 +559,6 @@ class Bound:
     ubf_rates: dict[str, float] = field(default_factory=dict)
     ds: dict[str, ScalarExpr] = field(default_factory=dict)
     ds_rates: dict[str, dict[str, float]] = field(default_factory=dict)
-    nonneg: bool = False
 
 
 @dataclass(frozen=True)
@@ -708,9 +707,9 @@ def _seeded(env: _Env, coeffs: Mapping[str, float]) -> dict[str, ScalarExpr]:
 def analyze(e: ScalarExpr, env: _Env) -> Bound:
     """Bottom-up smooth analysis; see module docstring for the contract."""
     if isinstance(e, Const):
-        return Bound(ubf=Const(abs(e.value)), nonneg=e.value >= 0.0)
+        return Bound(ubf=Const(abs(e.value)))
     if isinstance(e, Opaque):
-        return Bound(ubf=e if e.nonneg else abs_expr(e), nonneg=e.nonneg)
+        return Bound(ubf=e if e.nonneg else abs_expr(e))
 
     affine = _as_affine(e)
     if affine is not None and not affine[1]:
@@ -724,7 +723,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             ubf_rates=rates,
             ds=ds,
             ds_rates={v: {} for v in ds},
-            nonneg=False,
         )
 
     if isinstance(e, (Sigmoid, Tauoid)):
@@ -745,7 +743,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             ubf_rates=rates,
             ds=ds,
             ds_rates={v: dict(rates) for v in ds},
-            nonneg=True,
         )
 
     if isinstance(e, Exp):
@@ -755,7 +752,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         rates = {v: abs(e.rate * c) for v, c in coeffs.items() if c != 0.0}
         seeded = _seeded(env, coeffs)
         ds = {v: mul(mul(Const(abs(e.rate)), e), s) for v, s in seeded.items()}
-        return Bound(e, rates, ds, {v: dict(rates) for v in ds}, nonneg=True)
+        return Bound(e, rates, ds, {v: dict(rates) for v in ds})
 
     if isinstance(e, Ln):
         raise AnalysisError(
@@ -771,7 +768,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         coeffs = _affine_coeffs(e.child)
         if coeffs is not None:
             if not any(c != 0.0 for c in coeffs.values()):
-                return Bound(ubf=e, nonneg=True)  # data-constant base
+                return Bound(ubf=e)  # data-constant base
             if e.r < 1.0:
                 # the derivative blows up near zero: no sound sensitivity bound
                 raise AnalysisError(
@@ -785,7 +782,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             piece = _power_ds_piece(e.child, e.r, b)
             ds = {v: mul(piece, s) for v, s in _seeded(env, coeffs).items()}
             rates_d = {v: abs(c) * b for v, c in coeffs.items() if c != 0.0}
-            return Bound(ubf, rates_f, ds, {v: dict(rates_d) for v in ds}, nonneg=True)
+            return Bound(ubf, rates_f, ds, {v: dict(rates_d) for v in ds})
         child = analyze(e.child, env)
         ubf = Power(child.ubf, e.r)
         rates_f = {v: e.r * r for v, r in child.ubf_rates.items()}
@@ -794,7 +791,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 raise AnalysisError(
                     "sensitivity bounds for powers need exponent >= 1 on composite bases"
                 )
-            return Bound(ubf, rates_f, {}, {}, nonneg=True)
+            return Bound(ubf, rates_f, {}, {})
         ds = {}
         rates_d = {}
         base = mul(Const(e.r), Power(child.ubf, e.r - 1.0)) if e.r != 1.0 else Const(e.r)
@@ -804,7 +801,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 {w: (e.r - 1.0) * r for w, r in child.ubf_rates.items()},
                 child.ds_rates[v],
             )
-        return Bound(ubf, rates_f, ds, rates_d, nonneg=True)
+        return Bound(ubf, rates_f, ds, rates_d)
 
     if isinstance(e, Sum):
         kids = [analyze(c, env) for c in e.children]
@@ -822,7 +819,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             _rate_max(*(k.ubf_rates for k in kids)),
             ds,
             rates_d,
-            nonneg=all(k.nonneg for k in kids),
         )
 
     if isinstance(e, Prod):
@@ -846,7 +842,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 rates_d[v] = _rate_max(
                     rates_d.get(v, {}), _rate_sum(k.ds_rates[v], cof_rates)
                 )
-        return Bound(ubf, rates_f, ds, rates_d, nonneg=all(k.nonneg for k in kids))
+        return Bound(ubf, rates_f, ds, rates_d)
 
     if isinstance(e, (Min, Max)):
         kids = [analyze(c, env) for c in e.children]
@@ -862,7 +858,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             _rate_max(*(k.ubf_rates for k in kids)),
             ds,
             rates_d,
-            nonneg=all(k.nonneg for k in kids),
         )
 
     if isinstance(e, LpNorm):
@@ -885,7 +880,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 rates,
                 ds,
                 {v: {} for v in ds},
-                nonneg=True,
             )
         kids = [analyze(c, env) for c in e.children]
         ubf = LpNorm(e.p, tuple(k.ubf for k in kids))
@@ -895,7 +889,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             for v, dv in k.ds.items():
                 ds[v] = add(ds[v], dv) if v in ds else dv
                 rates_d[v] = _rate_max(rates_d.get(v, {}), k.ds_rates[v])
-        return Bound(ubf, _rate_max(*(k.ubf_rates for k in kids)), ds, rates_d, nonneg=True)
+        return Bound(ubf, _rate_max(*(k.ubf_rates for k in kids)), ds, rates_d)
 
     if isinstance(e, ScaleNorm):
         return analyze(e.child, env.scaled(e.a))
@@ -911,7 +905,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         num = analyze(e.num, env)
         ubf = Div(num.ubf, abs_expr(e.den))
         ds = {v: Div(dv, abs_expr(e.den)) for v, dv in num.ds.items()}
-        return Bound(ubf, num.ubf_rates, ds, dict(num.ds_rates), nonneg=False)
+        return Bound(ubf, num.ubf_rates, ds, dict(num.ds_rates))
 
     raise AnalysisError(f"no smooth-bound rule for {type(e).__name__}")
 

@@ -3,8 +3,11 @@
 Queries have the shape SELECT aggr(expr) FROM t1 [AS a1], ... WHERE cond,
 with aggr in {SUM, COUNT, PRODUCT, MIN, MAX} and cond a boolean tree of
 comparisons.  A tolerant mode additionally accepts the constructs the
-analyzer emits (CASE WHEN, greatest, exp, ^, FROM-subqueries, GROUP BY) so
-emitted sensitivity queries can be re-read and re-evaluated independently.
+analyzer emits (CASE WHEN, bare boolean columns, count(*) calls,
+FROM-subqueries, GROUP BY) so emitted sensitivity queries can be re-read and
+re-evaluated independently; a user query holds none of them.  `validate`
+resolves each column reference of a query once, into `AnalysisContext.refs`,
+and every later pass reads its column facts there.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ class FuncCall:
     args: tuple["SqlExpr", ...]
 
 
+# CaseWhen, SubQuery and BoolCol occur only in emitted SQL (`parse_emitted`)
 @dataclass(frozen=True)
 class CaseWhen:
     cond: "Pred"
@@ -456,13 +460,13 @@ class _Parser:
                 return inner
             except ParseError:
                 self.pos = save
+        start = self._peek()
         if self._at("select"):
-            t = self._peek()
-            raise ParseError("subqueries are not supported", t.pos, t.text)
+            raise ParseError("subqueries are not supported", start.pos, start.text)
         lhs = self._expr()
         t = self._peek()
         if t is None:
-            return self._bare_bool(lhs)
+            return self._bare_bool(lhs, start)
         word = t.low
         if t.kind == "op" and t.text in ("<", "<=", ">", ">=", "=", "<>"):
             self._next()
@@ -497,12 +501,13 @@ class _Parser:
             if not isinstance(lhs, ColRef):
                 raise ParseError("LIKE applies to a column", pat.pos, pat.text)
             return LikePred(lhs, pat.text)
-        return self._bare_bool(lhs)
+        return self._bare_bool(lhs, start)
 
-    def _bare_bool(self, lhs: SqlExpr) -> Pred:
-        if isinstance(lhs, ColRef):
+    def _bare_bool(self, lhs: SqlExpr, start: _Tok) -> Pred:
+        # a bare column is a predicate only in emitted SQL: the sensRows flag
+        if self.tolerant and isinstance(lhs, ColRef):
             return BoolCol(lhs)
-        raise ParseError("expected a comparison")
+        raise ParseError("expected a comparison", start.pos, start.text)
 
     # arithmetic grammar
 
@@ -558,6 +563,8 @@ class _Parser:
             self._expect(")")
             return e
         if t.low == "case":
+            if not self.tolerant:
+                raise ParseError("CASE is not supported", t.pos, t.text)
             self._expect("when")
             cond = self._pred()
             self._expect("then")
@@ -1119,6 +1126,7 @@ class ResolvedRef:
     column: str
     type: str
     sensitive: bool
+    precision: float | None  # see TableSchema.column_precision
 
     @property
     def name(self) -> str:
@@ -1127,35 +1135,37 @@ class ResolvedRef:
 
 @dataclass
 class AnalysisContext:
-    query: QuerySpec
+    query: QuerySpec  # every column reference qualified with its alias
     schema: Schema
     aliases: dict[str, str]  # alias -> table
     public_pred: Pred
     residual_pred: Pred  # contains at least one sensitive atom, or TruePred
     sensitive_aliases: list[str]  # aliases of tables with declared norms
+    refs: dict[str, ResolvedRef]  # 'alias.column' -> each column `query` reads
+
+    def sensitive(self, node: SqlExpr | Pred) -> bool:
+        """True when a column under `node`, a part of `query`, is sensitive."""
+        return any(self.refs[r.name].sensitive for r in _walk_refs(node))
 
 
 def _resolve_colref(ref: ColRef, aliases: dict[str, str], schema: Schema) -> ResolvedRef:
     if ref.table:
         if ref.table not in aliases:
             raise SchemaError(f"unknown table alias '{ref.table}' in {ref.name}")
-        table = aliases[ref.table]
-        ts = schema.table(table)
-        ty = ts.column_type(ref.column)
-        if ty is None:
-            raise SchemaError(f"table '{table}' has no column '{ref.column}'")
-        return ResolvedRef(ref.table, table, ref.column, ty, ref.column in ts.sensitive_columns)
-    hits = []
-    for alias, table in aliases.items():
-        ts = schema.table(table)
-        ty = ts.column_type(ref.column)
-        if ty is not None:
-            hits.append(ResolvedRef(alias, table, ref.column, ty, ref.column in ts.sensitive_columns))
-    if not hits:
-        raise SchemaError(f"column '{ref.column}' not found in any queried table")
-    if len(hits) > 1:
-        raise SchemaError(f"column '{ref.column}' is ambiguous; qualify it")
-    return hits[0]
+        alias = ref.table
+        if schema.table(aliases[alias]).column_type(ref.column) is None:
+            raise SchemaError(f"table '{aliases[alias]}' has no column '{ref.column}'")
+    else:
+        hits = [a for a, t in aliases.items()
+                if schema.table(t).column_type(ref.column) is not None]
+        if not hits:
+            raise SchemaError(f"column '{ref.column}' not found in any queried table")
+        if len(hits) > 1:
+            raise SchemaError(f"column '{ref.column}' is ambiguous; qualify it")
+        alias = hits[0]
+    ts = schema.table(aliases[alias])
+    return ResolvedRef(alias, aliases[alias], ref.column, ts.types[ref.column],
+                       ref.column in ts.sensitive_columns, ts.column_precision(ref.column))
 
 
 def _walk_refs(e: SqlExpr | Pred) -> Iterable[ColRef]:
@@ -1172,8 +1182,6 @@ def _walk_refs(e: SqlExpr | Pred) -> Iterable[ColRef]:
         yield from _walk_refs(e.rhs)
     elif isinstance(e, LikePred):
         yield e.col
-    elif isinstance(e, BoolCol):
-        yield e.col
     elif isinstance(e, BoolOp):
         for a in e.args:
             yield from _walk_refs(a)
@@ -1181,48 +1189,35 @@ def _walk_refs(e: SqlExpr | Pred) -> Iterable[ColRef]:
         yield from _walk_refs(e.arg)
 
 
-def qualify(node, aliases: dict[str, str], schema: Schema):
-    """Rewrite unqualified column references with their unique alias."""
+def _qualify(node, aliases: dict[str, str], schema: Schema, refs: dict[str, ResolvedRef]):
+    """`node` with each column reference qualified by its alias and resolved
+    once into `refs`.  A node kind outside the query grammar is rejected, so
+    that no later pass meets a construct it does not know."""
     if isinstance(node, ColRef):
         r = _resolve_colref(node, aliases, schema)
+        refs[r.name] = r
         return ColRef(r.alias, r.column)
-    if isinstance(node, BinOp):
-        return BinOp(node.op, qualify(node.lhs, aliases, schema), qualify(node.rhs, aliases, schema))
+    if isinstance(node, (Number, StrLit, TruePred)):
+        return node
+    if isinstance(node, (BinOp, Cmp)):
+        return type(node)(node.op, _qualify(node.lhs, aliases, schema, refs),
+                          _qualify(node.rhs, aliases, schema, refs))
     if isinstance(node, FuncCall):
-        return FuncCall(node.name, tuple(qualify(a, aliases, schema) for a in node.args))
-    if isinstance(node, Cmp):
-        return Cmp(node.op, qualify(node.lhs, aliases, schema), qualify(node.rhs, aliases, schema))
+        return FuncCall(node.name, tuple(_qualify(a, aliases, schema, refs) for a in node.args))
     if isinstance(node, LikePred):
-        return LikePred(qualify(node.col, aliases, schema), node.pattern, node.negated)
-    if isinstance(node, BoolCol):
-        return BoolCol(qualify(node.col, aliases, schema))
+        return LikePred(_qualify(node.col, aliases, schema, refs), node.pattern, node.negated)
     if isinstance(node, BoolOp):
-        return BoolOp(node.op, tuple(qualify(a, aliases, schema) for a in node.args), node.exclusive)
+        args = tuple(_qualify(a, aliases, schema, refs) for a in node.args)
+        return BoolOp(node.op, args, node.exclusive)
     if isinstance(node, NotPred):
-        return NotPred(qualify(node.arg, aliases, schema))
-    return node
-
-
-def _atom_sensitive(p: Pred, aliases, schema) -> bool:
-    return any(
-        _resolve_colref(r, aliases, schema).sensitive for r in _walk_refs(p)
-    )
-
-
-def _pred_sensitive(p: Pred, aliases, schema) -> bool:
-    if isinstance(p, (Cmp, LikePred, BoolCol)):
-        return _atom_sensitive(p, aliases, schema)
-    if isinstance(p, BoolOp):
-        return any(_pred_sensitive(a, aliases, schema) for a in p.args)
-    if isinstance(p, NotPred):
-        return _pred_sensitive(p.arg, aliases, schema)
-    return False
+        return NotPred(_qualify(node.arg, aliases, schema, refs))
+    raise SchemaError(f"{type(node).__name__} is not part of the query language")
 
 
 def validate(query: QuerySpec, schema: Schema) -> AnalysisContext:
-    """Resolve aliases, type-check, and split the WHERE clause into the
-    public part (stays a filter) and the residual sensitive part (lowered
-    into the query by the analyzer)."""
+    """Resolve aliases and each column reference, type-check, and split the
+    WHERE clause into the public part (stays a filter) and the residual
+    sensitive part (lowered into the query by the analyzer)."""
     aliases: dict[str, str] = {}
     seen_tables: dict[str, int] = {}
     for table, alias in query.tables:
@@ -1238,57 +1233,48 @@ def validate(query: QuerySpec, schema: Schema) -> AnalysisContext:
                 "self-joins are only supported for tables without a norm"
             )
 
+    refs: dict[str, ResolvedRef] = {}
     query = QuerySpec(
         query.aggregator,
-        qualify(query.select, aliases, schema) if query.select is not None else None,
+        _qualify(query.select, aliases, schema, refs) if query.select is not None else None,
         query.tables,
-        qualify(query.where, aliases, schema),
+        _qualify(query.where, aliases, schema, refs),
     )
 
     if query.select is not None:
         for r in _walk_refs(query.select):
-            rr = _resolve_colref(r, aliases, schema)
-            if rr.type == "text":
-                raise SchemaError(f"text column '{rr.name}' cannot appear in the select expression")
+            if refs[r.name].type == "text":
+                raise SchemaError(f"text column '{r.name}' cannot appear in the select expression")
 
-    _check_atoms(query.where, aliases, schema)
-
-    public: list[Pred] = []
-    residual: list[Pred] = []
-    for c in _flatten_and(query.where):
-        (residual if _pred_sensitive(c, aliases, schema) else public).append(c)
+    _check_atoms(query.where, refs)
 
     sensitive_aliases = sorted(
         alias for alias, table in aliases.items() if schema.table(table).norm is not None
     )
-    return AnalysisContext(
-        query=query,
-        schema=schema,
-        aliases=aliases,
-        public_pred=_make_and(public),
-        residual_pred=_make_and(residual),
-        sensitive_aliases=sensitive_aliases,
-    )
+    ctx = AnalysisContext(query, schema, aliases, TruePred(), TruePred(), sensitive_aliases, refs)
+    public: list[Pred] = []
+    residual: list[Pred] = []
+    for c in _flatten_and(query.where):
+        (residual if ctx.sensitive(c) else public).append(c)
+    ctx.public_pred, ctx.residual_pred = _make_and(public), _make_and(residual)
+    return ctx
 
 
-def _check_atoms(p: Pred, aliases, schema) -> None:
+def _check_atoms(p: Pred, refs: dict[str, ResolvedRef]) -> None:
     if isinstance(p, LikePred):
-        r = _resolve_colref(p.col, aliases, schema)
+        r = refs[p.col.name]
         if r.type != "text":
             raise SchemaError(f"LIKE needs a text column, got {r.name} ({r.type})")
         if r.sensitive:
             raise SchemaError(f"LIKE on sensitive column '{r.name}' is not supported")
     elif isinstance(p, Cmp):
-        text_side = [
-            r for r in _walk_refs(p) if _resolve_colref(r, aliases, schema).type == "text"
-        ]
-        if text_side and p.op not in ("=", "<>"):
+        if p.op not in ("=", "<>") and any(refs[r.name].type == "text" for r in _walk_refs(p)):
             raise SchemaError("text columns only support = and <> comparisons")
     elif isinstance(p, BoolOp):
         for a in p.args:
-            _check_atoms(a, aliases, schema)
+            _check_atoms(a, refs)
     elif isinstance(p, NotPred):
-        _check_atoms(p.arg, aliases, schema)
+        _check_atoms(p.arg, refs)
 
 
 def _flatten_and(p: Pred) -> list[Pred]:
@@ -1310,21 +1296,15 @@ def _make_and(conjuncts: list[Pred]) -> Pred:
     return BoolOp("and", tuple(conjuncts))
 
 
-def is_integer_expr(e: SqlExpr, aliases, schema) -> bool:
-    """True when the expression provably takes integer values (int columns,
-    integer literals, +/-/* combinations): comparisons over these admit the
-    exact clamped lowering."""
-    return expr_precision(e, aliases, schema) == 1.0
-
-
 _PRECISION_CAP = 1e6
 
 
-def expr_precision(e: SqlExpr, aliases, schema) -> float | None:
+def expr_precision(e: SqlExpr, refs: dict[str, ResolvedRef]) -> float | None:
     """Grid density k such that the expression provably takes values on the
     1/k grid (so distinct values differ by at least 1/k), or None.  Integer
     columns and literals have k = 1; declared-precision reals carry their k;
-    sums and products of gridded values land on the product grid."""
+    sums and products of gridded values land on the product grid.  `refs`
+    is `AnalysisContext.refs` of the query that holds `e`."""
     if isinstance(e, Number):
         v = float(e.value)
         for k in (1.0, 10.0, 100.0, 1000.0, 1e4, 1e5, 1e6):
@@ -1332,11 +1312,10 @@ def expr_precision(e: SqlExpr, aliases, schema) -> float | None:
                 return k
         return None
     if isinstance(e, ColRef):
-        r = _resolve_colref(e, aliases, schema)
-        return schema.table(r.table).column_precision(r.column)
+        return refs[e.name].precision
     if isinstance(e, BinOp) and e.op in "+-*":
-        k1 = expr_precision(e.lhs, aliases, schema)
-        k2 = expr_precision(e.rhs, aliases, schema)
+        k1 = expr_precision(e.lhs, refs)
+        k2 = expr_precision(e.rhs, refs)
         if k1 is None or k2 is None:
             return None
         if e.op == "*":

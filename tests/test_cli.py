@@ -319,6 +319,36 @@ def test_privatize_zero_sensitivity_is_exact(tmp_path, capsys):
     assert report["noised"] == report["modified"]
 
 
+@pytest.fixture(scope="module")
+def bench_data(tmp_path_factory):
+    data = str(tmp_path_factory.mktemp("bench"))
+    assert main(["bench", "--rows", "200", "--json", "--data", data]) == 0
+    return data
+
+
+# Filters on a sensitive column in emitted-SQL syntax, which no pass lowers
+# into the smooth analysis: a release of either would not be private
+_UNLOWERED_FILTERS = {
+    "bare-column": "select count(*) from lineitem where lineitem.l_discount;",
+    "case": "select sum(lineitem.l_quantity) from lineitem where case when "
+            "lineitem.l_quantity > 25 then 1.0 else 0.0 end = 1.0;",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "run", "privatize"])
+@pytest.mark.parametrize("name", sorted(_UNLOWERED_FILTERS))
+def test_filter_outside_the_query_language_exits_1(bench_data, tmp_path, capsys, name, command):
+    query = _write(tmp_path / "q.sql", _UNLOWERED_FILTERS[name])
+    args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
+    if command != "analyze":
+        args += ["--data", bench_data, "--seed", "1", "--json"]
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "noised" not in out
+
+
 def test_analyze_stdout_matches_golden(tmp_path, capsys):
     import os
 

@@ -94,6 +94,24 @@ def test_parse_unsupported_constructs(sql, what):
         parse_query(sql)
 
 
+@pytest.mark.parametrize("where, message, emitted", [
+    ("case when x > 2 then 1 else 0 end = 1",
+     "CASE is not supported at line 1, column 28 near 'case'",
+     Cmp("=", sf.CaseWhen(Cmp(">", ColRef("", "x"), Number(2.0)), Number(1.0), Number(0.0)),
+         Number(1.0))),
+    ("t.flag", "expected a comparison at line 1, column 28 near 't'",
+     sf.BoolCol(ColRef("t", "flag"))),
+    ("x > 1 AND flag", "expected a comparison at line 1, column 38 near 'flag'",
+     BoolOp("and", (Cmp(">", ColRef("", "x"), Number(1.0)), sf.BoolCol(ColRef("", "flag"))))),
+], ids=["case", "bare-column", "bare-column-conjunct"])
+def test_emitted_sql_syntax_is_no_user_query(where, message, emitted):
+    # CASE and a bare column as a filter occur only in emitted SQL
+    sql = f"SELECT sum(x) FROM t WHERE {where}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_query(sql)
+    assert sf.parse_emitted(sql).where == emitted
+
+
 @pytest.mark.parametrize("sql", [
     "SELECT sum(t.x) 'from' t 'where' t.x < 3",
     "SELECT 'sum'(t.x) FROM t",
@@ -108,6 +126,13 @@ def test_string_literal_is_no_keyword_or_punctuation(sql):
 def test_quoted_keyword_is_a_string_literal():
     q = parse_query("SELECT sum(t.x) FROM t WHERE t.s = 'from'")
     assert q.where == Cmp("=", ColRef("t", "s"), StrLit("from"))
+
+
+def test_parenthesised_column_is_a_comparison_operand():
+    # a bare column in parentheses is no predicate of its own in a user query
+    q = parse_query("SELECT sum(x) FROM t WHERE (x) > 3 AND (t.y) IN (1, 2)")
+    assert q.where.args[0] == Cmp(">", ColRef("", "x"), Number(3.0))
+    assert q.where.args[1].args[0] == Cmp("=", ColRef("t", "y"), Number(1.0))
 
 
 def test_parse_error_reports_position():
@@ -677,6 +702,42 @@ def test_validate_classification_stable_under_reassociation():
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("select, where", [
+    (ColRef("", "l_quantity"),
+     Cmp("=", sf.CaseWhen(Cmp(">", ColRef("", "l_quantity"), Number(25.0)), Number(1.0),
+                          Number(0.0)), Number(1.0))),
+    (None, BoolOp("or", (Cmp("=", ColRef("", "l_returnflag"), StrLit("R")),
+                         sf.BoolCol(ColRef("lineitem", "l_discount"))))),
+    (sf.SubQuery(sf.parse_emitted("SELECT max(l_quantity) FROM lineitem")), TruePred()),
+], ids=["case", "bare-column", "subquery"])
+def test_validate_rejects_nodes_outside_the_query_language(select, where):
+    q = QuerySpec("COUNT" if select is None else "SUM", select, (("lineitem", "lineitem"),), where)
+    with pytest.raises(SchemaError, match="is not part of the query language"):
+        validate(q, parse_schema(LINEITEM_SCHEMA))
+
+
+@pytest.mark.parametrize("col", ["li.l_quantity", "l_quantity"], ids=["qualified", "unqualified"])
+@pytest.mark.parametrize("form", [
+    "{c} * 2.0 + l_tax > 30.0",
+    "abs({c} - 20.0) < 5.0",
+    "{c} BETWEEN 10.0 AND 20.0",
+    "{c} IN (1.0, 2.0, 3.0)",
+    "NOT {c} < 24.0",
+    "{c} < 24.0 OR l_linestatus = 'F'",
+    "l_tax > 0.05 XOR {c} < 24.0",
+], ids=["arithmetic", "function", "between", "in", "not", "or", "xor"])
+def test_validate_puts_each_filter_on_a_sensitive_column_in_the_residual(form, col):
+    sql = ("SELECT sum(l_extendedprice) FROM lineitem AS li "
+           f"WHERE l_returnflag = 'R' AND ({form.format(c=col)})")
+    ctx = validate(parse_query(sql), parse_schema(LINEITEM_SCHEMA))
+    assert ctx.public_pred == Cmp("=", ColRef("li", "l_returnflag"), StrLit("R"))
+    residual = sf._flatten_and(ctx.residual_pred)
+    assert residual and len(residual) + 1 == len(sf._flatten_and(ctx.query.where))
+    refs = [*sf._walk_refs(ctx.query.select), *sf._walk_refs(ctx.query.where)]
+    assert all(r.table == "li" and ctx.refs[r.name].alias == "li" for r in refs)
+    assert {r.name for r in refs} == set(ctx.refs)
+
+
 def test_validate_rejects_sensitive_self_join():
     schema = parse_schema(LINEITEM_SCHEMA)
     q = parse_query("SELECT sum(a.l_quantity) FROM lineitem AS a, lineitem AS b")
@@ -710,12 +771,11 @@ def test_validate_text_in_select_fails():
 
 def test_is_integer_expr():
     schema = parse_schema("table t\ncol i int\ncol r real\n")
-    ctx = validate(parse_query("SELECT sum(i) FROM t"), schema)
-    al = ctx.aliases
-    assert sf.is_integer_expr(ColRef("t", "i"), al, schema)
-    assert sf.is_integer_expr(BinOp("+", ColRef("t", "i"), Number(3.0)), al, schema)
-    assert not sf.is_integer_expr(ColRef("t", "r"), al, schema)
-    assert not sf.is_integer_expr(BinOp("/", ColRef("t", "i"), Number(2.0)), al, schema)
+    refs = validate(parse_query("SELECT sum(i + r) FROM t"), schema).refs
+    assert sf.expr_precision(ColRef("t", "i"), refs) == 1.0
+    assert sf.expr_precision(BinOp("+", ColRef("t", "i"), Number(3.0)), refs) == 1.0
+    assert sf.expr_precision(ColRef("t", "r"), refs) != 1.0
+    assert sf.expr_precision(BinOp("/", ColRef("t", "i"), Number(2.0)), refs) != 1.0
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
@@ -738,13 +798,12 @@ def test_declared_precision_parses():
 
 def test_expr_precision_rules():
     schema = parse_schema("table t\ncol i int\ncol p real 100\ncol r real\n")
-    ctx = validate(parse_query("SELECT sum(i) FROM t"), schema)
-    al = ctx.aliases
-    assert sf.expr_precision(ColRef("t", "i"), al, schema) == 1.0
-    assert sf.expr_precision(ColRef("t", "p"), al, schema) == 100.0
-    assert sf.expr_precision(ColRef("t", "r"), al, schema) is None
-    assert sf.expr_precision(Number(2.5), al, schema) == 10.0
+    refs = validate(parse_query("SELECT sum(i + p + r) FROM t"), schema).refs
+    assert sf.expr_precision(ColRef("t", "i"), refs) == 1.0
+    assert sf.expr_precision(ColRef("t", "p"), refs) == 100.0
+    assert sf.expr_precision(ColRef("t", "r"), refs) is None
+    assert sf.expr_precision(Number(2.5), refs) == 10.0
     assert sf.expr_precision(
-        BinOp("+", ColRef("t", "i"), ColRef("t", "p")), al, schema) == 100.0
+        BinOp("+", ColRef("t", "i"), ColRef("t", "p")), refs) == 100.0
     assert sf.expr_precision(
-        BinOp("*", ColRef("t", "p"), ColRef("t", "p")), al, schema) == 10000.0
+        BinOp("*", ColRef("t", "p"), ColRef("t", "p")), refs) == 10000.0

@@ -73,6 +73,7 @@ from dersens.sqlfront import (
     SqlExpr,
     StrLit,
     TruePred,
+    _fmt_num,
 )
 
 __all__ = [
@@ -387,49 +388,50 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
     if agg in ("MIN", "MAX") and sigma is not None:
         if f is None:
             raise SchemaError(f"{agg} needs a select expression")
-        span = Opaque(key=DELTA_KEY, sql=_span_sql(ctx, f), nonneg=True)
+        body = render(f)
+        sql = _public_subquery(ctx, f"max({body}) - min({body})")
+        span = Opaque(key=DELTA_KEY, sql=sql, nonneg=True)
         low.opaques[DELTA_KEY] = OpaqueSpec("span", expr=f)
     row_expr = lower_aggregation(agg, f, sigma, span)
 
     # one witness per sensitive table, one smooth analysis for the whole row
+    # under the witness-scaled query norm lp 1 (scaled s_v v) ..., one slot per
+    # column of each table
     counts: dict[str, int] = {}
     _count_occurrences(row_expr, counts)
     witnesses: dict[str, ScalingWitness] = {}
-    targets: dict[str, float] = {}
-    seeds: dict[str, float] = {}
+    slots: dict[str, tuple[NormExpr, ...]] = {}
     for alias in ctx.sensitive_aliases:
         ts = ctx.schema.table(ctx.aliases[alias])
         witness = witnesses[alias] = align_norms(counts, alias, table_norm(ts, alias))
-        for v in witness.var_scale:
-            s = witness.effective(v)
-            targets[v] = params.beta * s
-            seeds[v] = 1.0 / s
+        slots[alias] = tuple(Scale(witness.effective(v), Var(v)) for v in sorted(witness.var_scale))
+    every_slot = sum(slots.values(), ())
+    norm = Combine(1.0, every_slot) if every_slot else None
+    env = ex.env_for_norm(norm, params.beta)
 
-    leftover = counts.keys() - targets.keys()
+    leftover = counts.keys() - env.targets.keys()
     if leftover:
         raise SchemaError(
             "sensitive columns without a norm declaration: " + ", ".join(sorted(leftover))
         )
 
-    env = ex._Env(targets=targets, seeds=seeds)
     bound = ex.analyze(row_expr, env)
 
-    # each table's terms meet in the dual of its witness-scaled query norm,
-    # lp 1 over one (scaled s_v v) slot per column
+    # each table's terms meet in the dual of its part of the query norm
     warnings: list[str] = []
     table_plans: list[TableSensPlan] = []
-    slots: list[NormExpr] = []
     for alias in ctx.sensitive_aliases:
         witness = witnesses[alias]
         table = ctx.aliases[alias]
         ts = ctx.schema.table(table)
-        mine = [Scale(witness.effective(v), Var(v)) for v in sorted(witness.var_scale)]
-        slots += mine
-        combined = ex.dual_ds(Combine(1.0, tuple(mine)), bound.ds) if mine else ex.ZERO
+        mine = slots[alias]
+        combined = ex.dual_ds(Combine(1.0, mine), bound.ds) if mine else ex.ZERO
         if combined == ex.ZERO:
             warnings.append(f"table '{table}' is sensitive but the query does not touch it")
         elif agg == "PRODUCT":
-            pb = Opaque(key=PRODBOUND_KEY, sql=_prodbound_sql(ctx, bound.ubf), nonneg=True)
+            body = render(Max((bound.ubf, ex.ONE)))
+            sql = _public_subquery(ctx, f"exp(sum(ln({body})))")
+            pb = Opaque(key=PRODBOUND_KEY, sql=sql, nonneg=True)
             low.opaques[PRODBOUND_KEY] = OpaqueSpec("prodbound", expr=bound.ubf)
             combined = mul(abs_expr(combined), pb)
         group_agg = "max" if agg in ("MIN", "MAX") else "sum"
@@ -438,8 +440,7 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
         )
 
     # only the rates of the sensitivity terms: the released bound is theirs
-    rates = ex._rate_max(*bound.ds_rates.values())
-    achieved = ex.dual_rate(Combine(1.0, tuple(slots)), rates, env) if slots else 0.0
+    achieved = ex.dual_rate(norm, bound.ds_rates, env) if norm else 0.0
     feasible = achieved <= params.beta * (1.0 + 1e-9)
     if not table_plans:
         warnings.append("no sensitive tables in this query; sensitivity is 0")
@@ -463,14 +464,6 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        body = f"{v:.1f}"
-    else:
-        body = repr(v)
-    return f"({body})" if v < 0 else body
-
-
 def render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]] | None = None) -> str:
     """PostgreSQL-compatible rendering (exp, abs, greatest, ^, case-when).
 
@@ -488,7 +481,7 @@ def render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]] | None = None)
 
 def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
     if isinstance(e, Const):
-        return _fmt(e.value)
+        return _fmt_num(e.value)
     if isinstance(e, Col):
         return e.name
     if isinstance(e, Opaque):
@@ -497,7 +490,7 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         out = render(e.children[0], memo)
         for c in e.children[1:]:
             if isinstance(c, Const) and c.value < 0:
-                out = f"({out} - {_fmt(-c.value)})"
+                out = f"({out} - {_fmt_num(-c.value)})"
             else:
                 out = f"({out} + {render(c, memo)})"
         return out
@@ -509,7 +502,7 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
     if isinstance(e, Div):
         return f"({render(e.num, memo)} / {render(e.den, memo)})"
     if isinstance(e, Power):
-        return f"({render(e.child, memo)} ^ {_fmt(e.r)})"
+        return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
     if isinstance(e, Exp):
         return f"exp({render(mul(Const(e.rate), e.child), memo)})"
     if isinstance(e, Ln):
@@ -521,7 +514,7 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         return f"(1.0 / (exp(least({un}, 709.0)) + 1.0))"
     if isinstance(e, SigmoidDeriv):
         z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
-        return f"(({_fmt(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
+        return f"(({_fmt_num(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
     if isinstance(e, (Tauoid, TauoidDeriv)):
         # z = exp(-|u|) in (0, 1], as in exprs._tauoid and _tauoid_deriv
         u = render(mul(Const(e.alpha), e.child), memo)
@@ -529,7 +522,8 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         z2 = f"({z} ^ 2.0)"
         if isinstance(e, Tauoid):
             return f"((2.0 * {z}) / (1.0 + {z2}))"
-        a2 = f"case when ({u} >= 0.0) then {_fmt(-2.0 * e.alpha)} else {_fmt(2.0 * e.alpha)} end"
+        a2 = (f"case when ({u} >= 0.0) then {_fmt_num(-2.0 * e.alpha)} "
+              f"else {_fmt_num(2.0 * e.alpha)} end")
         return f"((({a2}) * {z} * (1.0 - {z2})) / ((1.0 + {z2}) ^ 2.0))"
     if isinstance(e, Min):
         return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
@@ -537,8 +531,7 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         return "greatest(" + ", ".join(render(c, memo) for c in e.children) + ")"
     if isinstance(e, LpNorm):
         if len(e.children) == 1:
-            inner = f"abs({render(e.children[0], memo)})"
-            return inner if e.p != INF else inner
+            return f"abs({render(e.children[0], memo)})"
         if e.p == INF:
             return "greatest(" + ", ".join(f"abs({render(c, memo)})" for c in e.children) + ")"
         if e.p == 1.0:
@@ -546,11 +539,11 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
             for c in e.children[1:]:
                 out = f"({out} + abs({render(c, memo)}))"
             return out
-        terms = [f"(abs({render(c, memo)}) ^ {_fmt(e.p)})" for c in e.children]
+        terms = [f"(abs({render(c, memo)}) ^ {_fmt_num(e.p)})" for c in e.children]
         out = terms[0]
         for t in terms[1:]:
             out = f"({out} + {t})"
-        return f"({out} ^ {_fmt(1.0 / e.p)})"
+        return f"({out} ^ {_fmt_num(1.0 / e.p)})"
     if isinstance(e, ScaleNorm):
         return render(e.child, memo)
     if isinstance(e, IfGE):
@@ -564,34 +557,21 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
     raise TypeError(f"cannot render {type(e).__name__}")
 
 
-def _from_clause(ctx: AnalysisContext) -> str:
-    return ", ".join(
-        t if t == a else f"{t} AS {a}" for t, a in ctx.query.tables
-    )
-
-
 def _public_conjuncts(ctx: AnalysisContext) -> list[str]:
     return [sf.print_pred(c) for c in sf._flatten_and(ctx.public_pred)]
 
 
-def _span_sql(ctx: AnalysisContext, f: ScalarExpr) -> str:
-    body = render(f)
+def _public_subquery(ctx: AnalysisContext, select: str) -> str:
+    """`select` over the query's tables and public filter, as a scalar subquery."""
     where = " AND ".join(_public_conjuncts(ctx))
     tail = f" WHERE {where}" if where else ""
-    return f"(SELECT max({body}) - min({body}) FROM {_from_clause(ctx)}{tail})"
-
-
-def _prodbound_sql(ctx: AnalysisContext, ubf: ScalarExpr) -> str:
-    body = render(Max((ubf, ex.ONE)))
-    where = " AND ".join(_public_conjuncts(ctx))
-    tail = f" WHERE {where}" if where else ""
-    return f"(SELECT exp(sum(ln({body}))) FROM {_from_clause(ctx)}{tail})"
+    return f"(SELECT {select} FROM {sf._print_tables(ctx.query.tables)}{tail})"
 
 
 def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     """Render the modified query and the sensitivity query as SQL text."""
     ctx = plan.ctx
-    froms = _from_clause(ctx)
+    froms = sf._print_tables(ctx.query.tables)
     pubs = _public_conjuncts(ctx)
     where = f" WHERE {' AND '.join(pubs)}" if pubs else ""
     memo: dict[int, tuple[ScalarExpr, str]] = {}  # shared by every render call
@@ -600,9 +580,7 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     body = render(plan.row_expr, memo)
     if agg == "COUNT" and plan.sigma is None:
         modified = f"SELECT count(*) FROM {froms}{where};"
-    elif agg == "COUNT":
-        modified = f"SELECT sum({body}) FROM {froms}{where};"
-    elif agg == "SUM":
+    elif agg in ("COUNT", "SUM"):
         modified = f"SELECT sum({body}) FROM {froms}{where};"
     elif agg == "PRODUCT":
         modified = f"SELECT exp(sum(ln({body}))) FROM {froms}{where};"
@@ -625,8 +603,8 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
         sensitivity = "SELECT greatest(" + ", ".join(f"({p})" for p in parts) + ");"
     else:
         # the lq norm across tables, q dual to the database combiner
-        powers = " + ".join(f"(({p}) ^ {_fmt(q)})" for p in parts)
-        sensitivity = f"SELECT (({powers}) ^ {_fmt(1.0 / q)});"
+        powers = " + ".join(f"(({p}) ^ {_fmt_num(q)})" for p in parts)
+        sensitivity = f"SELECT (({powers}) ^ {_fmt_num(1.0 / q)});"
     return modified, sensitivity
 
 
@@ -648,5 +626,5 @@ def _emit_table_sensitivity(
         outer_agg = "sum(sdsg)"
     else:
         # the lq norm across groups, q dual to the row combiner
-        outer_agg = f"(sum((sdsg ^ {_fmt(q)})) ^ {_fmt(1.0 / q)})"
+        outer_agg = f"(sum((sdsg ^ {_fmt_num(q)})) ^ {_fmt_num(1.0 / q)})"
     return f"SELECT {outer_agg} FROM ({inner}) AS sub"

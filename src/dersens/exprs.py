@@ -9,10 +9,16 @@ Expressions are immutable trees over table columns.  Two views matter:
   per unit of norm distance, which is what makes the noise magnitude itself
   safe to reveal.
 
+`analyze` applies the ordinary rules of calculus node by node.  Each bound
+carries one rate map for its value bound and one for all its sensitivity
+terms at once; sums, min/max and lp combinations of subexpressions meet in
+one fold (`_joined`), and the exponential-family leaves share one rule.
+
 Both the bound and its rate are measured in the dual of a composite norm:
 `dual_walk` folds a normalized norm once, `dual_ds` combines per-column
 sensitivity bounds with it and `dual_rate` the rates.  `smooth_bound` and
-`analyzer.build_plan` share these folds.
+`analyzer.build_plan` share these folds and take their budgets from
+`env_for_norm`.
 """
 
 from __future__ import annotations
@@ -126,7 +132,8 @@ class Exp:
 
 @dataclass(frozen=True)
 class Ln:
-    """Natural log; only produced by desugaring of division and negative powers."""
+    """Natural log, lowered from `ln()` in a query; `analyze` rejects it, as
+    it would need a logarithmic metric."""
 
     child: "ScalarExpr"
 
@@ -551,14 +558,15 @@ class Bound:
 
     `ubf` dominates |expr|; `ds[v]` dominates the summed magnitude of the
     partial derivatives over all occurrences of v, already divided by v's
-    metric scale.  `ubf_rates`/`ds_rates` hold per-raw-coordinate
-    log-Lipschitz rates, from which the achieved smoothness is derived.
+    metric scale.  `ubf_rates` holds the per-raw-coordinate log-Lipschitz
+    rates of `ubf`, `ds_rates` those of all the `ds` terms at once (their
+    coordinatewise max, which is all the smoothness accounting reads).
     """
 
     ubf: ScalarExpr
     ubf_rates: dict[str, float] = field(default_factory=dict)
     ds: dict[str, ScalarExpr] = field(default_factory=dict)
-    ds_rates: dict[str, dict[str, float]] = field(default_factory=dict)
+    ds_rates: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -650,13 +658,6 @@ def _as_affine(e: ScalarExpr) -> tuple[dict[str, float], bool] | None:
     return None
 
 
-def _affine_coeffs(e: ScalarExpr) -> dict[str, float] | None:
-    got = _as_affine(e)
-    if got is None:
-        return None
-    return got[0]
-
-
 def _budget(coeffs: Mapping[str, float], env: _Env) -> float:
     """Largest per-argument rate B so that B*|c_v| stays within every budget."""
     b = INF
@@ -680,9 +681,9 @@ def _identity_ubf(e: ScalarExpr, b: float) -> ScalarExpr:
 
 
 def _power_ubf(e: ScalarExpr, r: float, b: float) -> ScalarExpr:
-    a = abs_expr(e)
     if r == 1.0:
         return _identity_ubf(e, b)
+    a = abs_expr(e)
     cap = mul(Exp(1.0, sub(mul(Const(b), a), Const(r))), Const((r / b) ** r))
     return IfGE(a, Const(r / b), Power(a, r), cap)
 
@@ -696,12 +697,51 @@ def _power_ds_piece(e: ScalarExpr, r: float, b: float) -> ScalarExpr:
     return IfGE(a, Const((r - 1.0) / b), main, cap)
 
 
-def _seeded(env: _Env, coeffs: Mapping[str, float]) -> dict[str, ScalarExpr]:
+def _seeded(
+    env: _Env, coeffs: Mapping[str, float], piece: ScalarExpr = ONE
+) -> dict[str, ScalarExpr]:
+    """Each column's sensitivity term: `piece` times |c_v| over v's metric scale."""
     out = {}
     for v, c in coeffs.items():
         if c != 0.0:
-            out[v] = Const(abs(c) * env.seeds.get(v, 1.0))
+            out[v] = mul(piece, Const(abs(c) * env.seeds.get(v, 1.0)))
     return out
+
+
+def _affine_power(base: ScalarExpr, coeffs: Mapping[str, float], r: float, env: _Env) -> Bound:
+    """|base|^r, r >= 1, for a base affine in the columns of `coeffs` (its
+    nonzero coefficients).  Both branches of each envelope move at rate b per
+    argument unit; at r = 1 the sensitivity terms are constant."""
+    b = _budget(coeffs, env)
+    rates = {v: abs(c) * b for v, c in coeffs.items()}
+    ds = _seeded(env, coeffs, _power_ds_piece(base, r, b))
+    return Bound(_power_ubf(base, r, b), rates, ds, rates if r != 1.0 else {})
+
+
+def _sum_of(parts: list[ScalarExpr]) -> ScalarExpr:
+    return functools.reduce(add, parts)
+
+
+def _max_of(parts: list[ScalarExpr]) -> ScalarExpr:
+    return parts[0] if len(parts) == 1 else Max(tuple(parts))
+
+
+def _joined(
+    kids: list[Bound], ubf: ScalarExpr, join: Callable[[list[ScalarExpr]], ScalarExpr]
+) -> Bound:
+    """The bound of a node that adds, maxes or lp-combines its children:
+    `ubf` is its value bound, each variable's sensitivity is `join` of the
+    children's terms in child order, and each rate map the children's max."""
+    parts: dict[str, list[ScalarExpr]] = {}
+    for k in kids:
+        for v, dv in k.ds.items():
+            parts.setdefault(v, []).append(dv)
+    return Bound(
+        ubf,
+        _rate_max(*(k.ubf_rates for k in kids)),
+        {v: join(ps) for v, ps in parts.items()},
+        _rate_max(*(k.ds_rates for k in kids)),
+    )
 
 
 def analyze(e: ScalarExpr, env: _Env) -> Bound:
@@ -713,46 +753,20 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
 
     affine = _as_affine(e)
     if affine is not None and not affine[1]:
-        coeffs = {v: c for v, c in affine[0].items() if c != 0.0}
-        b = _budget(coeffs, env)
-        rates = {v: abs(c) * b for v, c in coeffs.items()}
-        seeded = _seeded(env, coeffs)
-        ds = dict(seeded)
-        return Bound(
-            ubf=_identity_ubf(e, b),
-            ubf_rates=rates,
-            ds=ds,
-            ds_rates={v: {} for v in ds},
-        )
+        return _affine_power(e, {v: c for v, c in affine[0].items() if c != 0.0}, 1.0, env)
 
-    if isinstance(e, (Sigmoid, Tauoid)):
-        coeffs = _affine_coeffs(e.child)
-        if coeffs is None:
+    if isinstance(e, (Sigmoid, Tauoid, Exp)):
+        affine = _as_affine(e.child)
+        if affine is None:
             raise AnalysisError(
                 f"{type(e).__name__} argument must be affine in sensitive columns"
             )
-        rates = {v: e.alpha * abs(c) for v, c in coeffs.items() if c != 0.0}
-        seeded = _seeded(env, coeffs)
-        if isinstance(e, Sigmoid):
-            deriv: ScalarExpr = SigmoidDeriv(e.alpha, e.child)
-        else:
-            deriv = mul(Const(e.alpha), Tauoid(e.alpha, e.child))
-        ds = {v: mul(deriv, s) for v, s in seeded.items()}
-        return Bound(
-            ubf=e,
-            ubf_rates=rates,
-            ds=ds,
-            ds_rates={v: dict(rates) for v in ds},
-        )
-
-    if isinstance(e, Exp):
-        coeffs = _affine_coeffs(e.child)
-        if coeffs is None:
-            raise AnalysisError("Exp argument must be affine in sensitive columns")
-        rates = {v: abs(e.rate * c) for v, c in coeffs.items() if c != 0.0}
-        seeded = _seeded(env, coeffs)
-        ds = {v: mul(mul(Const(abs(e.rate)), e), s) for v, s in seeded.items()}
-        return Bound(e, rates, ds, {v: dict(rates) for v in ds})
+        # the logs of e and of its derivative both move at |k c_v| per unit
+        # of v; the three differ only in the derivative factor
+        k = e.rate if isinstance(e, Exp) else e.alpha
+        rates = {v: abs(k * c) for v, c in affine[0].items() if c != 0.0}
+        deriv = SigmoidDeriv(e.alpha, e.child) if isinstance(e, Sigmoid) else mul(Const(abs(k)), e)
+        return Bound(e, rates, _seeded(env, affine[0], deriv), rates)
 
     if isinstance(e, Ln):
         raise AnalysisError(
@@ -765,9 +779,10 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
             return analyze(e.child, env)
         if e.r <= 0.0:
             raise AnalysisError("desugar non-positive powers before analysis")
-        coeffs = _affine_coeffs(e.child)
-        if coeffs is not None:
-            if not any(c != 0.0 for c in coeffs.values()):
+        affine = _as_affine(e.child)
+        if affine is not None:
+            coeffs = {v: c for v, c in affine[0].items() if c != 0.0}
+            if not coeffs:
                 return Bound(ubf=e)  # data-constant base
             if e.r < 1.0:
                 # the derivative blows up near zero: no sound sensitivity bound
@@ -775,14 +790,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                     f"powers with exponent {e.r} < 1 over sensitive data admit a "
                     "value bound but no sensitivity bound"
                 )
-            b = _budget(coeffs, env)
-            # both branches of the envelope move at rate b per argument unit
-            rates_f = {v: abs(c) * b for v, c in coeffs.items() if c != 0.0}
-            ubf = _power_ubf(e.child, e.r, b)
-            piece = _power_ds_piece(e.child, e.r, b)
-            ds = {v: mul(piece, s) for v, s in _seeded(env, coeffs).items()}
-            rates_d = {v: abs(c) * b for v, c in coeffs.items() if c != 0.0}
-            return Bound(ubf, rates_f, ds, {v: dict(rates_d) for v in ds})
+            return _affine_power(e.child, coeffs, e.r, env)
         child = analyze(e.child, env)
         ubf = Power(child.ubf, e.r)
         rates_f = {v: e.r * r for v, r in child.ubf_rates.items()}
@@ -791,74 +799,36 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 raise AnalysisError(
                     "sensitivity bounds for powers need exponent >= 1 on composite bases"
                 )
-            return Bound(ubf, rates_f, {}, {})
-        ds = {}
-        rates_d = {}
-        base = mul(Const(e.r), Power(child.ubf, e.r - 1.0)) if e.r != 1.0 else Const(e.r)
-        for v, dv in child.ds.items():
-            ds[v] = mul(base, dv)
-            rates_d[v] = _rate_sum(
-                {w: (e.r - 1.0) * r for w, r in child.ubf_rates.items()},
-                child.ds_rates[v],
-            )
-        return Bound(ubf, rates_f, ds, rates_d)
+            return Bound(ubf, rates_f)
+        base = mul(Const(e.r), Power(child.ubf, e.r - 1.0))
+        ds = {v: mul(base, dv) for v, dv in child.ds.items()}
+        rates_d = {w: (e.r - 1.0) * r for w, r in child.ubf_rates.items()}
+        return Bound(ubf, rates_f, ds, _rate_sum(rates_d, child.ds_rates) if ds else {})
 
     if isinstance(e, Sum):
         kids = [analyze(c, env) for c in e.children]
-        ubf = kids[0].ubf
-        for k in kids[1:]:
-            ubf = add(ubf, k.ubf)
-        ds: dict[str, ScalarExpr] = {}
-        rates_d: dict[str, dict[str, float]] = {}
-        for k in kids:
-            for v, dv in k.ds.items():
-                ds[v] = add(ds[v], dv) if v in ds else dv
-                rates_d[v] = _rate_max(rates_d.get(v, {}), k.ds_rates[v])
-        return Bound(
-            ubf,
-            _rate_max(*(k.ubf_rates for k in kids)),
-            ds,
-            rates_d,
-        )
+        return _joined(kids, _sum_of([k.ubf for k in kids]), _sum_of)
 
     if isinstance(e, Prod):
         kids = [analyze(c, env) for c in e.children]
-        ubf = kids[0].ubf
-        for k in kids[1:]:
-            ubf = mul(ubf, k.ubf)
-        rates_f = _rate_sum(*(k.ubf_rates for k in kids))
-        ds: dict[str, ScalarExpr] = {}
-        rates_d: dict[str, dict[str, float]] = {}
+        # the product rule: each factor's terms times the other factors'
+        # value bounds (its cofactor), summed; a term's Bound carries its
+        # cofactor as ubf, and only its terms are joined
+        terms: list[Bound] = []
         for i, k in enumerate(kids):
-            cof: ScalarExpr = ONE
-            cof_rates: dict[str, float] = {}
-            for j, other in enumerate(kids):
-                if j != i:
-                    cof = mul(cof, other.ubf)
-                    cof_rates = _rate_sum(cof_rates, other.ubf_rates)
-            for v, dv in k.ds.items():
-                term = _guarded_mul(dv, cof)
-                ds[v] = add(ds[v], term) if v in ds else term
-                rates_d[v] = _rate_max(
-                    rates_d.get(v, {}), _rate_sum(k.ds_rates[v], cof_rates)
-                )
-        return Bound(ubf, rates_f, ds, rates_d)
+            if k.ds:
+                others = kids[:i] + kids[i + 1 :]
+                cof = functools.reduce(mul, (o.ubf for o in others), ONE)
+                cof_rates = _rate_sum(*(o.ubf_rates for o in others))
+                ds = {v: _guarded_mul(dv, cof) for v, dv in k.ds.items()}
+                terms.append(Bound(cof, ds=ds, ds_rates=_rate_sum(k.ds_rates, cof_rates)))
+        out = _joined(terms, functools.reduce(mul, (k.ubf for k in kids)), _sum_of)
+        out.ubf_rates = _rate_sum(*(k.ubf_rates for k in kids))
+        return out
 
     if isinstance(e, (Min, Max)):
         kids = [analyze(c, env) for c in e.children]
-        ubf = Max(tuple(k.ubf for k in kids)) if len(kids) > 1 else kids[0].ubf
-        ds: dict[str, ScalarExpr] = {}
-        rates_d: dict[str, dict[str, float]] = {}
-        for v in {v for k in kids for v in k.ds}:
-            parts = [k.ds[v] for k in kids if v in k.ds]
-            ds[v] = parts[0] if len(parts) == 1 else Max(tuple(parts))
-            rates_d[v] = _rate_max(*(k.ds_rates[v] for k in kids if v in k.ds))
-        return Bound(
-            ubf,
-            _rate_max(*(k.ubf_rates for k in kids)),
-            ds,
-            rates_d,
-        )
+        return _joined(kids, _max_of([k.ubf for k in kids]), _max_of)
 
     if isinstance(e, LpNorm):
         if all(isinstance(c, Col) for c in e.children) and len(
@@ -866,30 +836,15 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         ) == len(e.children):
             coeffs = {c.name: 1.0 for c in e.children}
             b = _budget(coeffs, env)
-            cap = Div(Exp(1.0, sub(mul(Const(b), e), ONE)), Const(b))
-            ubf = IfGE(e, Const(1.0 / b), e, cap)
-            ds = _seeded(env, coeffs)
             key = frozenset(coeffs)
             if key in env.blocks and env.blocks[key][0] == e.p:
                 # the envelope is b-smooth in the block's own lp metric
                 rates: dict = {key: b}
             else:
                 rates = {v: b for v in coeffs}
-            return Bound(
-                ubf,
-                rates,
-                ds,
-                {v: {} for v in ds},
-            )
+            return Bound(_identity_ubf(e, b), rates, _seeded(env, coeffs))
         kids = [analyze(c, env) for c in e.children]
-        ubf = LpNorm(e.p, tuple(k.ubf for k in kids))
-        ds: dict[str, ScalarExpr] = {}
-        rates_d: dict[str, dict[str, float]] = {}
-        for k in kids:
-            for v, dv in k.ds.items():
-                ds[v] = add(ds[v], dv) if v in ds else dv
-                rates_d[v] = _rate_max(rates_d.get(v, {}), k.ds_rates[v])
-        return Bound(ubf, _rate_max(*(k.ubf_rates for k in kids)), ds, rates_d)
+        return _joined(kids, LpNorm(e.p, tuple(k.ubf for k in kids)), _sum_of)
 
     if isinstance(e, ScaleNorm):
         return analyze(e.child, env.scaled(e.a))
@@ -905,7 +860,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         num = analyze(e.num, env)
         ubf = Div(num.ubf, abs_expr(e.den))
         ds = {v: Div(dv, abs_expr(e.den)) for v, dv in num.ds.items()}
-        return Bound(ubf, num.ubf_rates, ds, dict(num.ds_rates))
+        return Bound(ubf, num.ubf_rates, ds, num.ds_rates)
 
     raise AnalysisError(f"no smooth-bound rule for {type(e).__name__}")
 
@@ -919,21 +874,24 @@ def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
 
 
 def _norm_blocks(norm: NormExpr) -> dict[frozenset[str], tuple[float, float]]:
-    """Uniformly scaled flat lp blocks of a normalized norm, by variable set."""
+    """Uniformly scaled flat lp blocks of two or more variables, by variable
+    set.  (A lone variable is no block: its rate is per-coordinate already.)"""
     out: dict[frozenset[str], tuple[float, float]] = {}
 
     def fold(q: float, parts: list, node: Combine) -> None:
         # a variable gives (name, scale), a nested combination None
-        if None not in parts and len({s for _, s in parts}) == 1:
+        if len(parts) > 1 and None not in parts and len({s for _, s in parts}) == 1:
             out[frozenset(v for v, _ in parts)] = (node.p, parts[0][1])
 
     dual_walk(norm, lambda v, s: (v, s), fold)
     return out
 
 
-def env_for_norm(norm: NormExpr, beta: float) -> _Env:
-    """Budgets for a normalized norm; a repeated variable is governed by its
-    strictest (largest) leaf scale."""
+def env_for_norm(norm: NormExpr | None, beta: float) -> _Env:
+    """Budgets for a normalized or flat norm, none without a norm; a repeated
+    variable is governed by its strictest (largest) leaf scale."""
+    if norm is None:
+        return _Env({}, {})
     scales: dict[str, float] = {}
     for v, s in _occurrences(norm):
         scales[v] = max(scales.get(v, 0.0), s)
@@ -957,7 +915,7 @@ def smooth_bound(f: ScalarExpr, beta: float, norm: NormExpr) -> SmoothBound:
     env = env_for_norm(norm, beta)
     b = analyze(f, env)
     # smooth in both bounds: the rates of ubf and of every sensitivity term
-    achieved = dual_rate(norm, _rate_max(b.ubf_rates, *b.ds_rates.values()), env)
+    achieved = dual_rate(norm, _rate_max(b.ubf_rates, b.ds_rates), env)
     return SmoothBound(
         ubf=b.ubf,
         ubds=ONE if _is_matching_lpnorm(f, norm) else dual_ds(norm, b.ds),

@@ -167,7 +167,7 @@ Pred = Union[Cmp, LikePred, BoolCol, BoolOp, NotPred, TruePred]
 @dataclass(frozen=True)
 class QuerySpec:
     aggregator: str
-    select: SqlExpr | None  # None for COUNT(*)
+    select: SqlExpr | None  # None for COUNT(*); COUNT(col) keeps its column
     tables: tuple[tuple[str, str], ...]  # (table, alias)
     where: Pred
 
@@ -379,12 +379,9 @@ class _Parser:
             return name, None
         arg = self._expr()
         self._expect(")")
-        if name == "COUNT" and not self.tolerant:
-            # COUNT(col) counts rows; NULLs are out of scope
-            if not isinstance(arg, ColRef):
-                t = self._peek() or _Tok("op", "", (0, 0), "")
-                raise ParseError("COUNT takes * or a single column", t.pos, t.text)
-            return name, None
+        if name == "COUNT" and not isinstance(arg, ColRef):
+            t = self._peek() or _Tok("op", "", (0, 0), "")
+            raise ParseError("COUNT takes * or a single column", t.pos, t.text)
         return name, arg
 
     def _tables(self) -> tuple[tuple[str, str], ...]:
@@ -609,10 +606,7 @@ def parse_emitted(sql: str) -> EmittedSelect:
 
 def print_expr(e: SqlExpr) -> str:
     if isinstance(e, Number):
-        v = e.value
-        if v < 0:
-            return f"(-{_fmt_num(-v)})"
-        return _fmt_num(v)
+        return _fmt_num(e.value)
     if isinstance(e, StrLit):
         return f"'{e.value}'"
     if isinstance(e, ColRef):
@@ -632,9 +626,16 @@ def print_expr(e: SqlExpr) -> str:
 
 
 def _fmt_num(v: float) -> str:
+    """A number as SQL text, parenthesized when negative."""
+    if v < 0:
+        return f"(-{_fmt_num(-v)})"
     if v == int(v) and abs(v) < 1e15:
         return f"{v:.1f}"
     return repr(v)
+
+
+def _print_tables(tables: tuple[tuple[str, str], ...]) -> str:
+    return ", ".join(t if t == a else f"{t} AS {a}" for t, a in tables)
 
 
 def print_pred(p: Pred) -> str:
@@ -658,8 +659,7 @@ def print_pred(p: Pred) -> str:
 def print_query(q: QuerySpec) -> str:
     agg = q.aggregator.lower()
     arg = "*" if q.select is None else print_expr(q.select)
-    tables = ", ".join(t if t == a else f"{t} AS {a}" for t, a in q.tables)
-    out = f"SELECT {agg}({arg}) FROM {tables}"
+    out = f"SELECT {agg}({arg}) FROM {_print_tables(q.tables)}"
     if not isinstance(q.where, TruePred):
         out += f" WHERE {print_pred(q.where)}"
     return out + ";"
@@ -672,7 +672,7 @@ def _print_emitted(q: EmittedSelect) -> str:
     if q.sub is not None:
         out += f" FROM ({_print_emitted(q.sub)}) AS {q.sub_alias or 'sub'}"
     elif q.tables:
-        out += " FROM " + ", ".join(t if t == a else f"{t} AS {a}" for t, a in q.tables)
+        out += f" FROM {_print_tables(q.tables)}"
     if not isinstance(q.where, TruePred):
         out += f" WHERE {print_pred(q.where)}"
     if q.group_by is not None:
@@ -1232,6 +1232,12 @@ def validate(query: QuerySpec, schema: Schema) -> AnalysisContext:
                 f"table '{table}' is sensitive and joined with itself; "
                 "self-joins are only supported for tables without a norm"
             )
+
+    if query.aggregator == "COUNT" and query.select is not None:
+        # COUNT(col) counts rows (NULLs are out of scope): its column must
+        # exist, and is then read no further
+        _resolve_colref(query.select, aliases, schema)
+        query = QuerySpec(query.aggregator, None, query.tables, query.where)
 
     refs: dict[str, ResolvedRef] = {}
     query = QuerySpec(

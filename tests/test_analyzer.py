@@ -276,6 +276,33 @@ def test_b16_achieved_beta_matches_elevated_epsilon():
     assert 5.0 * (0.1 + plan.beta_achieved) == pytest.approx(4.5)
 
 
+# beta_achieved of a release counts the rates of the sensitivity terms only,
+# each column's rate divided by its witness scale s_v and the largest taken
+# (the dual of the l1 query norm).  An affine column moves at beta * s_v,
+# the sigmoid of an affine argument at alpha per unit of it; a product's
+# term adds its cofactor's rates, and a composite power its base's value
+# rates (r - 1) times.
+RATE_SCHEMA = "table t\ncol a real\ncol b real\nnorm lp 1.0 a (scaled 2.0 b)\n"
+
+
+@pytest.mark.parametrize("sql,formula", [
+    # the term of a * b times the sigmoid's value, or of the sigmoid times
+    # a * b's value: alpha + beta * s_a on a, beta * s_b on b
+    ("SELECT sum(t.a * t.b) FROM t WHERE t.a > 3", lambda s, al, be: al / s["t.a"] + be),
+    # (a * b)^2: the base's terms move at beta * s_v (their cofactor), and
+    # the factor 2 |a b| at (2 - 1) * beta * s_v
+    ("SELECT sum((t.a * t.b) ^ 2.0) FROM t", lambda s, al, be: 2.0 * be),
+    # |a| * a: a column alone is no lp block, so both factors' rates stay
+    # per coordinate and meet in one max
+    ("SELECT sum(abs(t.a) * t.a) FROM t", lambda s, al, be: be),
+])
+def test_achieved_beta_follows_the_rate_rules(sql, formula):
+    _, plan = _plan_for(sql, RATE_SCHEMA, PlanParams(beta=0.1, alpha=0.5))
+    tp, = plan.table_plans
+    scales = {v: tp.witness.effective(v) for v in tp.witness.var_scale}
+    assert plan.beta_achieved == pytest.approx(formula(scales, 0.5, 0.1), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # emitted SQL
 # ---------------------------------------------------------------------------

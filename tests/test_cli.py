@@ -349,6 +349,21 @@ def test_filter_outside_the_query_language_exits_1(bench_data, tmp_path, capsys,
     assert "noised" not in out
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "privatize"])
+@pytest.mark.parametrize("column", ["lineitem.no_such_column", "nosuch.l_quantity"])
+def test_count_of_an_unknown_column_exits_1(bench_data, tmp_path, capsys, column, command):
+    query = _write(tmp_path / "q.sql", f"select count({column}) from lineitem "
+                                       "where lineitem.l_quantity > 25;")
+    args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
+    if command != "analyze":
+        args += ["--data", bench_data, "--seed", "1", "--json"]
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "noised" not in out
+
+
 def test_analyze_stdout_matches_golden(tmp_path, capsys):
     import os
 

@@ -282,6 +282,17 @@ def test_minmax_and_nonneg_sum_take_max_beta():
     assert smooth_bound(fsum, 1.0, Var("x")).beta == pytest.approx(0.5)
 
 
+def test_n_ary_nodes_join_their_childrens_terms_flat():
+    # one greatest() over the terms of all children, in child order, and one
+    # left-nested sum: the emitted SQL depends on these shapes
+    kids = tuple(Sigmoid(a, X) for a in (0.1, 0.2, 0.3))
+    d1, d2, d3 = (ex.SigmoidDeriv(a, X) for a in (0.1, 0.2, 0.3))
+    for node in (Min(kids), Max(kids)):
+        assert smooth_bound(node, 1.0, Var("x")).ubds == Max((d1, d2, d3))
+    for node in (Sum(kids), LpNorm(2.0, kids)):
+        assert smooth_bound(node, 1.0, Var("x")).ubds == Sum((Sum((d1, d2)), d3))
+
+
 def test_norm_scaling_divides_beta_and_ds():
     inner = Sigmoid(0.4, X)
     plain = smooth_bound(inner, 1.0, Var("x"))

@@ -161,8 +161,25 @@ def test_in_list_with_repeats_not_exclusive():
 
 
 def test_count_column_counts_rows():
-    q = parse_query("SELECT count(t.c) FROM t")
-    assert q.aggregator == "COUNT" and q.select is None
+    # a text column is fine, and the query reads no column for it
+    schema = parse_schema("table t\ncol c text\ncol x real\nnorm lp 1.0 x\n")
+    ctx = validate(parse_query("SELECT count(t.c) FROM t"), schema)
+    assert ctx.query.aggregator == "COUNT" and ctx.query.select is None
+    assert ctx.refs == {}
+
+
+@pytest.mark.parametrize("arg,message", [
+    ("t.nope", "table 't' has no column 'nope'"),
+    ("u.c", "unknown table alias 'u'"),
+    ("nope", "column 'nope' not found"),
+])
+def test_count_column_is_resolved(arg, message):
+    # the parser keeps the column, and validate checks it before dropping it
+    schema = parse_schema("table t\ncol c text\ncol x real\nnorm lp 1.0 x\n")
+    q = parse_query(f"SELECT count({arg}) FROM t")
+    assert q.select == parse_query(f"SELECT sum({arg}) FROM t").select
+    with pytest.raises(SchemaError, match=message):
+        validate(q, schema)
 
 
 # ---------------------------------------------------------------------------

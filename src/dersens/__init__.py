@@ -23,9 +23,7 @@ from dersens.exprs import (
     AnalysisError,
     EvalError,
     ScalarExpr,
-    SmoothBound,
     eval_scalar,
-    smooth_bound,
 )
 from dersens.mechanism import (
     GenCauchy,

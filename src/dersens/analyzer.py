@@ -36,7 +36,6 @@ from dersens.exprs import (
     Power,
     Prod,
     ScalarExpr,
-    ScaleNorm,
     Sigmoid,
     SigmoidDeriv,
     Sum,
@@ -439,8 +438,9 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
             TableSensPlan(alias, table, combined, group_agg, ts.rows_p, witness)
         )
 
-    # only the rates of the sensitivity terms: the released bound is theirs
-    achieved = ex.dual_rate(norm, bound.ds_rates, env) if norm else 0.0
+    # only the rates of the sensitivity terms: the mechanism needs the released
+    # ubds to be beta-smooth, and ubf is never released
+    achieved = ex.dual_rate(norm, bound.ds_rates) if norm else 0.0
     feasible = achieved <= params.beta * (1.0 + 1e-9)
     if not table_plans:
         warnings.append("no sensitive tables in this query; sensitivity is 0")
@@ -544,8 +544,6 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         for t in terms[1:]:
             out = f"({out} + {t})"
         return f"({out} ^ {_fmt_num(1.0 / e.p)})"
-    if isinstance(e, ScaleNorm):
-        return render(e.child, memo)
     if isinstance(e, IfGE):
         return (
             f"case when ({render(e.test, memo)} >= {render(e.threshold, memo)}) "

@@ -48,7 +48,6 @@ from dersens.exprs import (
     Power,
     Prod,
     ScalarExpr,
-    ScaleNorm,
     Sigmoid,
     SigmoidDeriv,
     Sum,
@@ -495,8 +494,6 @@ class _Compiler:
             return lambda fr: fr.binding(e.name, "column")
         if isinstance(e, Opaque):
             return lambda fr: fr.binding(e.key, "derived value")
-        if isinstance(e, ScaleNorm):
-            return self(e.child)
         if isinstance(e, (Sum, Prod, Min, Max, LpNorm)):
             return self._nary(e, [self(c) for c in e.children])
         if isinstance(e, (IfGE, IfNonzero)):

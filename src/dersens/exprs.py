@@ -4,10 +4,9 @@ Expressions are immutable trees over table columns.  Two views matter:
 
 * exact evaluation (`eval_scalar`), the row-at-a-time reference of the
   engine's compiled evaluation;
-* smooth upper bounds (`smooth_bound` / `analyze`): expressions dominating
-  the function and its sensitivity whose logarithm moves at a bounded rate
-  per unit of norm distance, which is what makes the noise magnitude itself
-  safe to reveal.
+* smooth upper bounds (`analyze`): expressions dominating the function and
+  its sensitivity whose logarithm moves at a bounded rate per unit of norm
+  distance, which is what makes the noise magnitude itself safe to reveal.
 
 `analyze` applies the ordinary rules of calculus node by node.  Each bound
 carries one rate map for its value bound and one for all its sensitivity
@@ -16,9 +15,9 @@ one fold (`_joined`), and the exponential-family leaves share one rule.
 
 Both the bound and its rate are measured in the dual of a composite norm:
 `dual_walk` folds a normalized norm once, `dual_ds` combines per-column
-sensitivity bounds with it and `dual_rate` the rates.  `smooth_bound` and
-`analyzer.build_plan` share these folds and take their budgets from
-`env_for_norm`.
+sensitivity bounds with it and `dual_rate` the rates.  `analyzer.build_plan`
+is the one driver: it takes its budgets from `env_for_norm` and combines the
+result of `analyze` with these folds.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from dersens.norms import (
     Var,
     _occurrences,
     lp_norm,
-    norm_vars,
-    normalize,
 )
 
 __all__ = [
@@ -58,10 +55,8 @@ __all__ = [
     "Power",
     "Prod",
     "ScalarExpr",
-    "ScaleNorm",
     "Sigmoid",
     "SigmoidDeriv",
-    "SmoothBound",
     "Sum",
     "Tauoid",
     "TauoidDeriv",
@@ -76,7 +71,6 @@ __all__ = [
     "eval_scalar",
     "expr_vars",
     "mul",
-    "smooth_bound",
     "sub",
 ]
 
@@ -209,15 +203,6 @@ class LpNorm:
 
 
 @dataclass(frozen=True)
-class ScaleNorm:
-    """Marks that the ambient metric of the subtree is scaled by `a`: the value
-    is unchanged, sensitivities divide by `a`."""
-
-    a: float
-    child: "ScalarExpr"
-
-
-@dataclass(frozen=True)
 class Div:
     """Quotient; user-level division over sensitive data is desugared away,
     internal bounds keep quotients for faithful SQL rendering."""
@@ -246,7 +231,7 @@ class IfNonzero:
 
 ScalarExpr = Union[
     Const, Col, Opaque, Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid, TauoidDeriv,
-    Sum, Prod, Min, Max, LpNorm, ScaleNorm, Div, IfGE, IfNonzero,
+    Sum, Prod, Min, Max, LpNorm, Div, IfGE, IfNonzero,
 ]
 
 ZERO = Const(0.0)
@@ -310,7 +295,7 @@ def expr_vars(e: ScalarExpr) -> frozenset[str]:
 def _subexprs(e: ScalarExpr) -> Iterator[ScalarExpr]:
     if isinstance(e, (Sum, Prod, Min, Max, LpNorm)):
         yield from e.children
-    elif isinstance(e, (Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid, TauoidDeriv, ScaleNorm)):
+    elif isinstance(e, (Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid, TauoidDeriv)):
         yield e.child
     elif isinstance(e, Div):
         yield e.num
@@ -431,8 +416,6 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
         except OverflowError:
             raise EvalError(f"{e.p} power of a value in {min(vals)}..{max(vals)} overflows") from None
         return checked_fsum(powers) ** (1.0 / e.p)
-    if isinstance(e, ScaleNorm):
-        return eval_scalar(e.child, row)
     if isinstance(e, Div):
         num = eval_scalar(e.num, row)
         den = eval_scalar(e.den, row)
@@ -515,36 +498,13 @@ def dual_ds(norm: NormExpr, ds: Mapping[str, ScalarExpr]) -> ScalarExpr:
     return dual_walk(norm, lambda v, s: ds.get(v, ZERO), fold)
 
 
-def dual_rate(norm: NormExpr, rates: Mapping, env: _Env) -> float:
-    """Smallest beta such that the rate functional (per-coordinate terms plus
-    joint block terms) is at most beta * ||dx||_norm for every displacement.
-    A joint term is keyed by the variable set of a block of `env.blocks` and
-    charged at that block's combination."""
-
-    def fold(q: float, parts: list[float], node: Combine) -> float:
-        out = lp_norm(parts, q)
-        key = norm_vars(node)
-        if key in rates and env.blocks[key][0] == node.p:
-            out += rates[key] / env.blocks[key][1]
-        return out
-
-    return dual_walk(norm, lambda v, s: float(rates.get(v, 0.0)) / s, fold)
-
-
-def _is_matching_lpnorm(f: ScalarExpr, norm: NormExpr) -> bool:
-    # ||x_1..x_n||_p measured in the same unscaled lp norm has sensitivity 1
-    if not isinstance(f, LpNorm):
-        return False
-    cols = [c for c in f.children if isinstance(c, Col)]
-    if len(cols) != len(f.children) or len({c.name for c in cols}) != len(cols):
-        return False
-    if isinstance(norm, Var):
-        return len(cols) == 1 and cols[0].name == norm.name
-    if not isinstance(norm, Combine) or norm.p != f.p:
-        return False
-    names = {c.name for c in cols}
-    nkids = norm.children
-    return all(isinstance(k, Var) for k in nkids) and {k.name for k in nkids} == names
+def dual_rate(norm: NormExpr, rates: Mapping[str, float]) -> float:
+    """Smallest beta such that sum_v rates[v] |dx_v| is at most
+    beta * ||dx||_norm for every displacement: the dual-norm length of the
+    per-coordinate rates."""
+    return dual_walk(
+        norm, lambda v, s: rates.get(v, 0.0) / s, lambda q, parts, node: lp_norm(parts, q)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +520,11 @@ class Bound:
     partial derivatives over all occurrences of v, already divided by v's
     metric scale.  `ubf_rates` holds the per-raw-coordinate log-Lipschitz
     rates of `ubf`, `ds_rates` those of all the `ds` terms at once (their
-    coordinatewise max, which is all the smoothness accounting reads).
+    coordinatewise max).
+
+    A release's achieved beta counts `ds_rates` only: the mechanism needs the
+    released `ubds` to be beta-smooth, and `ubf` is never released.
+    `ubf_rates` feed the rates of products and powers that multiply by `ubf`.
     """
 
     ubf: ScalarExpr
@@ -570,35 +534,13 @@ class Bound:
 
 
 @dataclass(frozen=True)
-class SmoothBound:
-    """ubf/ubds pair with the smoothness the construction actually achieved."""
-
-    ubf: ScalarExpr
-    ubds: ScalarExpr
-    beta: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class _Env:
     """Per-variable budgets: targets[v] is the admissible raw log-Lipschitz
     rate for v (requested beta times v's metric scale), seeds[v] the factor
-    each occurrence's sensitivity picks up (one over the metric scale).
-
-    `blocks` lists uniformly scaled lp blocks of the declared norm, keyed by
-    their variable sets; a multi-column lp atom matching such a block earns a
-    joint rate certificate instead of the lossier per-coordinate one."""
+    each occurrence's sensitivity picks up (one over the metric scale)."""
 
     targets: Mapping[str, float]
     seeds: Mapping[str, float]
-    blocks: Mapping[frozenset[str], tuple[float, float]] = field(default_factory=dict)  # varset -> (p, scale)
-
-    def scaled(self, a: float) -> "_Env":
-        return _Env(
-            {v: t * a for v, t in self.targets.items()},
-            {v: s / a for v, s in self.seeds.items()},
-            {k: (p, s * a) for k, (p, s) in self.blocks.items()},
-        )
 
 
 def _rate_max(*dicts: Mapping[str, float]) -> dict[str, float]:
@@ -753,7 +695,10 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
 
     affine = _as_affine(e)
     if affine is not None and not affine[1]:
-        return _affine_power(e, {v: c for v, c in affine[0].items() if c != 0.0}, 1.0, env)
+        coeffs = {v: c for v, c in affine[0].items() if c != 0.0}
+        if not coeffs:
+            return Bound(ubf=abs_expr(e))  # the columns cancel: a data constant
+        return _affine_power(e, coeffs, 1.0, env)
 
     if isinstance(e, (Sigmoid, Tauoid, Exp)):
         affine = _as_affine(e.child)
@@ -836,18 +781,9 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         ) == len(e.children):
             coeffs = {c.name: 1.0 for c in e.children}
             b = _budget(coeffs, env)
-            key = frozenset(coeffs)
-            if key in env.blocks and env.blocks[key][0] == e.p:
-                # the envelope is b-smooth in the block's own lp metric
-                rates: dict = {key: b}
-            else:
-                rates = {v: b for v in coeffs}
-            return Bound(_identity_ubf(e, b), rates, _seeded(env, coeffs))
+            return Bound(_identity_ubf(e, b), {v: b for v in coeffs}, _seeded(env, coeffs))
         kids = [analyze(c, env) for c in e.children]
         return _joined(kids, LpNorm(e.p, tuple(k.ubf for k in kids)), _sum_of)
-
-    if isinstance(e, ScaleNorm):
-        return analyze(e.child, env.scaled(e.a))
 
     if isinstance(e, Div):
         den_vars = expr_vars(e.den)
@@ -873,20 +809,6 @@ def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
     return IfNonzero(d, cof)
 
 
-def _norm_blocks(norm: NormExpr) -> dict[frozenset[str], tuple[float, float]]:
-    """Uniformly scaled flat lp blocks of two or more variables, by variable
-    set.  (A lone variable is no block: its rate is per-coordinate already.)"""
-    out: dict[frozenset[str], tuple[float, float]] = {}
-
-    def fold(q: float, parts: list, node: Combine) -> None:
-        # a variable gives (name, scale), a nested combination None
-        if len(parts) > 1 and None not in parts and len({s for _, s in parts}) == 1:
-            out[frozenset(v for v, _ in parts)] = (node.p, parts[0][1])
-
-    dual_walk(norm, lambda v, s: (v, s), fold)
-    return out
-
-
 def env_for_norm(norm: NormExpr | None, beta: float) -> _Env:
     """Budgets for a normalized or flat norm, none without a norm; a repeated
     variable is governed by its strictest (largest) leaf scale."""
@@ -898,27 +820,4 @@ def env_for_norm(norm: NormExpr | None, beta: float) -> _Env:
     return _Env(
         targets={v: beta * s for v, s in scales.items()},
         seeds={v: 1.0 / s for v, s in scales.items()},
-        blocks=_norm_blocks(norm),
-    )
-
-
-def smooth_bound(f: ScalarExpr, beta: float, norm: NormExpr) -> SmoothBound:
-    """Smooth upper bounds on |f| and on its derivative sensitivity w.r.t. the
-    given norm.  When the structure cannot reach the requested smoothness
-    (the reported beta exceeds the request), feasible is False and the
-    reported beta is the minimum this construction can achieve; raising
-    epsilon accordingly restores the privacy guarantee.
-    """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    norm = normalize(norm)
-    env = env_for_norm(norm, beta)
-    b = analyze(f, env)
-    # smooth in both bounds: the rates of ubf and of every sensitivity term
-    achieved = dual_rate(norm, _rate_max(b.ubf_rates, b.ds_rates), env)
-    return SmoothBound(
-        ubf=b.ubf,
-        ubds=ONE if _is_matching_lpnorm(f, norm) else dual_ds(norm, b.ds),
-        beta=achieved if achieved > 0 else beta,
-        feasible=achieved <= beta * (1.0 + 1e-9),
     )

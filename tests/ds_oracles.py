@@ -1,12 +1,13 @@
 """Test oracles for derivative sensitivity: exact a.e. partial derivatives
 of the scalar IR (`partial_expr`), the dual-norm length of that symbolic
 gradient (`ds_expr`) and of a central-difference one (`finite_diff_ds`).
-The tests hold `smooth_bound`'s ubds and the engine's sensitivities to
-them."""
+The tests hold the analyzer's ubds (`release_bound` for one expression,
+`build_plan` for a query) and the engine's sensitivities to them."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from dersens.exprs import (
@@ -28,7 +29,6 @@ from dersens.exprs import (
     Power,
     Prod,
     ScalarExpr,
-    ScaleNorm,
     Sigmoid,
     SigmoidDeriv,
     Sum,
@@ -36,16 +36,20 @@ from dersens.exprs import (
     TauoidDeriv,
     _fold_lp,
     _fold_max,
-    _is_matching_lpnorm,
+    _rate_max,
     abs_expr,
     add,
+    analyze,
+    dual_ds,
     dual_exponent,
+    dual_rate,
+    env_for_norm,
     eval_scalar,
     expr_vars,
     mul,
     sub,
 )
-from dersens.norms import INF, NormExpr, Scale, Var
+from dersens.norms import INF, Combine, NormExpr, Scale, Var, normalize
 
 
 def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
@@ -128,8 +132,6 @@ def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
         return _minmax_partial(e, v)
     if isinstance(e, LpNorm):
         return _lpnorm_partial(e, v)
-    if isinstance(e, ScaleNorm):
-        return partial_expr(e.child, v)
     if isinstance(e, Div):
         dn = partial_expr(e.num, v)
         dd = partial_expr(e.den, v)
@@ -242,6 +244,22 @@ def _check_norm_for_ds(f: ScalarExpr, norm: NormExpr) -> None:
         )
 
 
+def _is_matching_lpnorm(f: ScalarExpr, norm: NormExpr) -> bool:
+    # ||x_1..x_n||_p measured in the same unscaled lp norm has sensitivity 1
+    if not isinstance(f, LpNorm):
+        return False
+    cols = [c for c in f.children if isinstance(c, Col)]
+    if len(cols) != len(f.children) or len({c.name for c in cols}) != len(cols):
+        return False
+    if isinstance(norm, Var):
+        return len(cols) == 1 and cols[0].name == norm.name
+    if not isinstance(norm, Combine) or norm.p != f.p:
+        return False
+    names = {c.name for c in cols}
+    nkids = norm.children
+    return all(isinstance(k, Var) for k in nkids) and {k.name for k in nkids} == names
+
+
 def ds_expr(f: ScalarExpr, norm: NormExpr) -> ScalarExpr:
     """Expression computing the operator norm of the derivative of f: the
     length of the gradient in the dual of the given composite norm."""
@@ -249,6 +267,29 @@ def ds_expr(f: ScalarExpr, norm: NormExpr) -> ScalarExpr:
     if _is_matching_lpnorm(f, norm):
         return ONE
     return _dual_combine_exprs(norm, lambda v: abs_expr(partial_expr(f, v)))
+
+
+@dataclass(frozen=True)
+class ReleaseBound:
+    ubf: ScalarExpr
+    ubds: ScalarExpr
+    beta: float  # achieved by ubf and ubds together; the request if nothing binds
+    feasible: bool
+
+
+def release_bound(f: ScalarExpr, beta: float, norm: NormExpr) -> ReleaseBound:
+    """`analyze` of f under `norm` with the budgets and dual-norm folds a
+    release uses.  The achieved beta covers the rates of ubf as well as of
+    ubds, since the tests check the smoothness of both."""
+    norm = normalize(norm)
+    b = analyze(f, env_for_norm(norm, beta))
+    achieved = dual_rate(norm, _rate_max(b.ubf_rates, b.ds_rates))
+    return ReleaseBound(
+        b.ubf,
+        dual_ds(norm, b.ds),
+        achieved if achieved > 0 else beta,
+        achieved <= beta * (1.0 + 1e-9),
+    )
 
 
 def finite_diff_ds(

@@ -364,6 +364,19 @@ def test_count_of_an_unknown_column_exits_1(bench_data, tmp_path, capsys, column
     assert "noised" not in out
 
 
+def test_a_column_that_cancels_has_sensitivity_0(bench_data, tmp_path, capsys):
+    # every coefficient of l_quantity - l_quantity is 0: a data constant, not
+    # an affine leaf with an infinite rate budget
+    query = _write(tmp_path / "q.sql", "select sum((lineitem.l_quantity - lineitem.l_quantity)"
+                                       " * lineitem.l_quantity) from lineitem;")
+    args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
+    capsys.readouterr()
+    assert main(["analyze", *args]) == 0
+    assert "SELECT max(sdsg)" in capsys.readouterr().out
+    assert main(["run", *args, "--data", bench_data, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sensitivity"] == 0.0
+
+
 def test_analyze_stdout_matches_golden(tmp_path, capsys):
     import os
 

@@ -364,16 +364,11 @@ def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWit
 # ---------------------------------------------------------------------------
 
 
-def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
-    """Build the modified-query expression and the per-table sensitivity plans.
-
-    `params` may be a PlanParams, a NoiseParams (only its beta matters here),
-    or None for the defaults.
-    """
+def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> SensitivityPlan:
+    """Build the modified-query expression and the per-table sensitivity plans,
+    under `params` or the defaults."""
     if params is None:
         params = PlanParams()
-    elif not isinstance(params, PlanParams):
-        params = PlanParams(beta=params.beta)
     low = _Lowerer(ctx, params)
     q = ctx.query
     agg = q.aggregator.upper()
@@ -395,20 +390,19 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
 
     # one witness per sensitive table, one smooth analysis for the whole row
     # under the witness-scaled query norm lp 1 (scaled s_v v) ..., one slot per
-    # column of each table
+    # column of each table, at the scale s_v the witness gives it
     counts: dict[str, int] = {}
     _count_occurrences(row_expr, counts)
     witnesses: dict[str, ScalingWitness] = {}
-    slots: dict[str, tuple[NormExpr, ...]] = {}
+    scales: dict[str, float] = {}
     for alias in ctx.sensitive_aliases:
         ts = ctx.schema.table(ctx.aliases[alias])
         witness = witnesses[alias] = align_norms(counts, alias, table_norm(ts, alias))
-        slots[alias] = tuple(Scale(witness.effective(v), Var(v)) for v in sorted(witness.var_scale))
-    every_slot = sum(slots.values(), ())
-    norm = Combine(1.0, every_slot) if every_slot else None
-    env = ex.env_for_norm(norm, params.beta)
+        for v in sorted(witness.var_scale):
+            scales[v] = witness.effective(v)
+    env = ex.env_for_scales(scales, params.beta)
 
-    leftover = counts.keys() - env.targets.keys()
+    leftover = counts.keys() - scales.keys()
     if leftover:
         raise SchemaError(
             "sensitive columns without a norm declaration: " + ", ".join(sorted(leftover))
@@ -416,15 +410,20 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
 
     bound = ex.analyze(row_expr, env)
 
-    # each table's terms meet in the dual of its part of the query norm
+    # each table's terms meet in the dual of its part of the query norm, the
+    # max of its columns' terms, which already carry their scales
     warnings: list[str] = []
     table_plans: list[TableSensPlan] = []
     for alias in ctx.sensitive_aliases:
         witness = witnesses[alias]
         table = ctx.aliases[alias]
         ts = ctx.schema.table(table)
-        mine = slots[alias]
-        combined = ex.dual_ds(Combine(1.0, mine), bound.ds) if mine else ex.ZERO
+        terms = [bound.ds.get(v, ex.ZERO) for v in sorted(witness.var_scale)]
+        terms = [d for d in terms if d != ex.ZERO]
+        if len(terms) > 1:
+            combined = ex._fold_max([abs_expr(d) for d in terms])
+        else:
+            combined = terms[0] if terms else ex.ZERO
         if combined == ex.ZERO:
             warnings.append(f"table '{table}' is sensitive but the query does not touch it")
         elif agg == "PRODUCT":
@@ -439,8 +438,9 @@ def build_plan(ctx: AnalysisContext, params=None) -> SensitivityPlan:
         )
 
     # only the rates of the sensitivity terms: the mechanism needs the released
-    # ubds to be beta-smooth, and ubf is never released
-    achieved = ex.dual_rate(norm, bound.ds_rates) if norm else 0.0
+    # ubds to be beta-smooth, and ubf is never released.  A raw rate r_v is
+    # r_v / s_v per unit of the query norm, whose dual takes the max.
+    achieved = max((bound.ds_rates.get(v, 0.0) / s for v, s in scales.items()), default=0.0)
     feasible = achieved <= params.beta * (1.0 + 1e-9)
     if not table_plans:
         warnings.append("no sensitive tables in this query; sensitivity is 0")

@@ -11,13 +11,15 @@ Expressions are immutable trees over table columns.  Two views matter:
 `analyze` applies the ordinary rules of calculus node by node.  Each bound
 carries one rate map for its value bound and one for all its sensitivity
 terms at once; sums, min/max and lp combinations of subexpressions meet in
-one fold (`_joined`), and the exponential-family leaves share one rule.
+one fold (`_joined`), and the exponential-family leaves share one rule.  A
+subexpression that reads no sensitive column and that no rule covers is a
+data constant.
 
-Both the bound and its rate are measured in the dual of a composite norm:
-`dual_walk` folds a normalized norm once, `dual_ds` combines per-column
-sensitivity bounds with it and `dual_rate` the rates.  `analyzer.build_plan`
-is the one driver: it takes its budgets from `env_for_norm` and combines the
-result of `analyze` with these folds.
+Bounds are measured in the query norm lp 1 (scaled s_v v) ..., one slot per
+sensitive column at its metric scale s_v; `env_for_scales` turns the scales
+into budgets.  The dual of that norm is a max, so `analyzer.build_plan`, the
+one driver, takes each table's sensitivity as the max of its columns' terms
+and the achieved beta as the max over columns of rate / s_v.
 """
 
 from __future__ import annotations
@@ -25,17 +27,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from dersens.norms import (
-    INF,
-    Combine,
-    NormExpr,
-    Scale,
-    Var,
-    _occurrences,
-    lp_norm,
-)
+from dersens.norms import INF
 
 __all__ = [
     "AnalysisError",
@@ -64,10 +58,8 @@ __all__ = [
     "add",
     "analyze",
     "checked_fsum",
-    "dual_ds",
     "dual_exponent",
-    "dual_rate",
-    "dual_walk",
+    "env_for_scales",
     "eval_scalar",
     "expr_vars",
     "mul",
@@ -236,8 +228,6 @@ ScalarExpr = Union[
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-T = TypeVar("T")
 
 
 def abs_expr(e: ScalarExpr) -> ScalarExpr:
@@ -435,7 +425,7 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dual-norm folds
+# Dual norms
 # ---------------------------------------------------------------------------
 
 
@@ -448,63 +438,10 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def dual_walk(
-    norm: NormExpr,
-    leaf: Callable[[str, float], T],
-    fold: Callable[[float, list[T], Combine], T],
-) -> T:
-    """Fold a normalized norm bottom-up: `leaf(v, s)` at each variable, s the
-    product of the Scale factors above it, and `fold(q, parts, node)` at each
-    combination, q the dual exponent of its p and `parts` its children's
-    results in order."""
-
-    def walk(n: NormExpr, s: float) -> T:
-        if isinstance(n, Var):
-            return leaf(n.name, s)
-        if isinstance(n, Scale):
-            return walk(n.child, s * n.factor)
-        return fold(dual_exponent(n.p), [walk(c, s) for c in n.children], n)
-
-    return walk(norm, 1.0)
-
-
 def _fold_max(parts: list[ScalarExpr]) -> ScalarExpr:
     if all(isinstance(p, Const) for p in parts):
         return Const(max(p.value for p in parts))
     return Max(tuple(parts))
-
-
-def _fold_lp(q: float, parts: list[ScalarExpr]) -> ScalarExpr:
-    if all(isinstance(p, Const) for p in parts):
-        return Const(lp_norm([abs(p.value) for p in parts], q))
-    return LpNorm(q, tuple(parts))
-
-
-def dual_ds(norm: NormExpr, ds: Mapping[str, ScalarExpr]) -> ScalarExpr:
-    """The dual-norm length of per-variable sensitivity bounds that already
-    absorbed their leaf scales (`Bound.ds`), so Scale factors are not applied
-    again."""
-
-    def fold(q: float, parts: list[ScalarExpr], node: Combine) -> ScalarExpr:
-        live = [p for p in parts if p != ZERO]
-        if len(live) <= 1:
-            return live[0] if live else ZERO
-        if q == INF:
-            return _fold_max([abs_expr(p) for p in live])
-        if q == 1.0:
-            return functools.reduce(add, live)
-        return _fold_lp(q, live)
-
-    return dual_walk(norm, lambda v, s: ds.get(v, ZERO), fold)
-
-
-def dual_rate(norm: NormExpr, rates: Mapping[str, float]) -> float:
-    """Smallest beta such that sum_v rates[v] |dx_v| is at most
-    beta * ||dx||_norm for every displacement: the dual-norm length of the
-    per-coordinate rates."""
-    return dual_walk(
-        norm, lambda v, s: rates.get(v, 0.0) / s, lambda q, parts, node: lp_norm(parts, q)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +455,11 @@ class Bound:
 
     `ubf` dominates |expr|; `ds[v]` dominates the summed magnitude of the
     partial derivatives over all occurrences of v, already divided by v's
-    metric scale.  `ubf_rates` holds the per-raw-coordinate log-Lipschitz
-    rates of `ubf`, `ds_rates` those of all the `ds` terms at once (their
-    coordinatewise max).
+    metric scale.  Both are nonnegative, also over data constants: products
+    multiply sensitivity terms by `ubf` and sums add the terms, so a signed
+    one could cancel another.  `ubf_rates` holds the per-raw-coordinate
+    log-Lipschitz rates of `ubf`, `ds_rates` those of all the `ds` terms at
+    once (their coordinatewise max).
 
     A release's achieved beta counts `ds_rates` only: the mechanism needs the
     released `ubds` to be beta-smooth, and `ubf` is never released.
@@ -686,6 +625,14 @@ def _joined(
     )
 
 
+def _refused(e: ScalarExpr, why: str) -> Bound:
+    """The bound of a node that no rule covers: a data constant if it reads no
+    sensitive column, else an AnalysisError saying `why`."""
+    if expr_vars(e):
+        raise AnalysisError(why)
+    return Bound(ubf=abs_expr(e))
+
+
 def analyze(e: ScalarExpr, env: _Env) -> Bound:
     """Bottom-up smooth analysis; see module docstring for the contract."""
     if isinstance(e, Const):
@@ -703,8 +650,8 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
     if isinstance(e, (Sigmoid, Tauoid, Exp)):
         affine = _as_affine(e.child)
         if affine is None:
-            raise AnalysisError(
-                f"{type(e).__name__} argument must be affine in sensitive columns"
+            return _refused(
+                e, f"{type(e).__name__} argument must be affine in sensitive columns"
             )
         # the logs of e and of its derivative both move at |k c_v| per unit
         # of v; the three differ only in the derivative factor
@@ -714,21 +661,22 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         return Bound(e, rates, _seeded(env, affine[0], deriv), rates)
 
     if isinstance(e, Ln):
-        raise AnalysisError(
+        return _refused(
+            e,
             "ln over sensitive data needs a logarithmic metric on that column; "
-            "rewrite the query or the norm"
+            "rewrite the query or the norm",
         )
 
     if isinstance(e, Power):
         if e.r == 1.0:
             return analyze(e.child, env)
         if e.r <= 0.0:
-            raise AnalysisError("desugar non-positive powers before analysis")
+            return _refused(e, "desugar non-positive powers before analysis")
         affine = _as_affine(e.child)
         if affine is not None:
             coeffs = {v: c for v, c in affine[0].items() if c != 0.0}
             if not coeffs:
-                return Bound(ubf=e)  # data-constant base
+                return Bound(ubf=abs_expr(e))  # data-constant base, of either sign
             if e.r < 1.0:
                 # the derivative blows up near zero: no sound sensitivity bound
                 raise AnalysisError(
@@ -798,7 +746,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         ds = {v: Div(dv, abs_expr(e.den)) for v, dv in num.ds.items()}
         return Bound(ubf, num.ubf_rates, ds, num.ds_rates)
 
-    raise AnalysisError(f"no smooth-bound rule for {type(e).__name__}")
+    return _refused(e, f"no smooth-bound rule for {type(e).__name__}")
 
 
 def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
@@ -809,14 +757,9 @@ def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
     return IfNonzero(d, cof)
 
 
-def env_for_norm(norm: NormExpr | None, beta: float) -> _Env:
-    """Budgets for a normalized or flat norm, none without a norm; a repeated
-    variable is governed by its strictest (largest) leaf scale."""
-    if norm is None:
-        return _Env({}, {})
-    scales: dict[str, float] = {}
-    for v, s in _occurrences(norm):
-        scales[v] = max(scales.get(v, 0.0), s)
+def env_for_scales(scales: Mapping[str, float], beta: float) -> _Env:
+    """Budgets for the query norm lp 1 (scaled s_v v) ... with `scales` the
+    s_v: the target rate beta s_v and the sensitivity seed 1 / s_v."""
     return _Env(
         targets={v: beta * s for v, s in scales.items()},
         seeds={v: 1.0 / s for v, s in scales.items()},

@@ -1,11 +1,14 @@
 """Test oracles for derivative sensitivity: exact a.e. partial derivatives
 of the scalar IR (`partial_expr`), the dual-norm length of that symbolic
 gradient (`ds_expr`) and of a central-difference one (`finite_diff_ds`).
-The tests hold the analyzer's ubds (`release_bound` for one expression,
-`build_plan` for a query) and the engine's sensitivities to them."""
+The tests hold the analyzer's ubds to them: `build_plan`'s for a query, and
+`release_bound`'s for one expression under any composite norm, which folds
+the terms and rates of `analyze` in the dual of that norm as a release folds
+them in the dual of its flat l1 query norm."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -34,22 +37,19 @@ from dersens.exprs import (
     Sum,
     Tauoid,
     TauoidDeriv,
-    _fold_lp,
     _fold_max,
     _rate_max,
     abs_expr,
     add,
     analyze,
-    dual_ds,
     dual_exponent,
-    dual_rate,
-    env_for_norm,
+    env_for_scales,
     eval_scalar,
     expr_vars,
     mul,
     sub,
 )
-from dersens.norms import INF, Combine, NormExpr, Scale, Var, normalize
+from dersens.norms import INF, Combine, NormExpr, Scale, Var, _occurrences, lp_norm, normalize
 
 
 def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
@@ -203,6 +203,12 @@ def _abs_partial(c: ScalarExpr, v: str) -> ScalarExpr:
     return IfGE(c, ZERO, dc, mul(Const(-1.0), dc))
 
 
+def _fold_lp(q: float, parts: list[ScalarExpr]) -> ScalarExpr:
+    if all(isinstance(p, Const) for p in parts):
+        return Const(lp_norm([abs(p.value) for p in parts], q))
+    return LpNorm(q, tuple(parts))
+
+
 def _dual_combine_exprs(norm: NormExpr, leaf: Callable[[str], ScalarExpr]) -> ScalarExpr:
     if isinstance(norm, Var):
         return leaf(norm.name)
@@ -278,18 +284,42 @@ class ReleaseBound:
 
 
 def release_bound(f: ScalarExpr, beta: float, norm: NormExpr) -> ReleaseBound:
-    """`analyze` of f under `norm` with the budgets and dual-norm folds a
-    release uses.  The achieved beta covers the rates of ubf as well as of
-    ubds, since the tests check the smoothness of both."""
+    """`analyze` of f under `norm`, each variable budgeted at its strictest
+    leaf scale, with its terms and rates folded in the dual of the norm.  The
+    achieved beta covers the rates of ubf as well as of ubds, since the tests
+    check the smoothness of both."""
     norm = normalize(norm)
-    b = analyze(f, env_for_norm(norm, beta))
-    achieved = dual_rate(norm, _rate_max(b.ubf_rates, b.ds_rates))
+    scales: dict[str, float] = {}
+    for v, s in _occurrences(norm):
+        scales[v] = max(scales.get(v, 0.0), s)
+    b = analyze(f, env_for_scales(scales, beta))
+    rates = _rate_max(b.ubf_rates, b.ds_rates)
+    achieved = _dual_value(norm, lambda v: rates.get(v, 0.0))
     return ReleaseBound(
         b.ubf,
-        dual_ds(norm, b.ds),
+        _dual_ds(norm, b.ds),
         achieved if achieved > 0 else beta,
         achieved <= beta * (1.0 + 1e-9),
     )
+
+
+def _dual_ds(norm: NormExpr, ds: Mapping[str, ScalarExpr]) -> ScalarExpr:
+    """The dual-norm length of per-variable sensitivity bounds that already
+    absorbed their leaf scales (`Bound.ds`), so Scale factors are not applied
+    again."""
+    if isinstance(norm, Var):
+        return ds.get(norm.name, ZERO)
+    if isinstance(norm, Scale):
+        return _dual_ds(norm.child, ds)
+    live = [p for p in (_dual_ds(c, ds) for c in norm.children) if p != ZERO]
+    if len(live) <= 1:
+        return live[0] if live else ZERO
+    q = dual_exponent(norm.p)
+    if q == INF:
+        return _fold_max([abs_expr(p) for p in live])
+    if q == 1.0:
+        return functools.reduce(add, live)
+    return _fold_lp(q, live)
 
 
 def finite_diff_ds(

@@ -668,15 +668,6 @@ def test_join_groups_keyed_by_sensitive_table(tmp_path):
     assert sens == max(bd.groups.values())
 
 
-def test_build_plan_accepts_noise_params():
-    from dersens.mechanism import NoiseParams
-
-    schema = sf.parse_schema(LINEITEM_SCHEMA)
-    ctx = validate(parse_query(B1_5_SQL), schema)
-    plan = build_plan(ctx, NoiseParams(2.0, 0.25, 4.0))
-    assert plan.params.beta == 0.25
-
-
 @pytest.mark.parametrize("field", ["beta", "alpha"])
 @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
 def test_plan_params_reject_a_bad_beta_or_alpha(field, value):

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -10,8 +11,12 @@ from conftest import (
     LINEITEM_SCHEMA,
     TPCH_MINI_SCHEMA,
     lineitem_row,
+    with_cells,
     write_table,
 )
+from dersens import engine as eng
+from dersens import sqlfront as sf
+from dersens.analyzer import PlanParams, build_plan
 from dersens.cli import main
 
 
@@ -375,6 +380,47 @@ def test_a_column_that_cancels_has_sensitivity_0(bench_data, tmp_path, capsys):
     assert "SELECT max(sdsg)" in capsys.readouterr().out
     assert main(["run", *args, "--data", bench_data, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["sensitivity"] == 0.0
+
+
+# Subexpressions over public columns only that no smooth-bound rule covers
+_PUBLIC_SUBEXPRESSIONS = {
+    "ln": "select sum(ln(lineitem.l_orderkey)) from lineitem;",
+    "negative_power": "select sum(lineitem.l_orderkey ^ -1.0) from lineitem;",
+    "exp_factor": "select sum(lineitem.l_quantity * exp(0.001 * lineitem.l_orderkey))"
+                  " from lineitem;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_SUBEXPRESSIONS))
+def test_a_public_subexpression_is_a_data_constant(bench_data, tmp_path, capsys, name):
+    sql = _PUBLIC_SUBEXPRESSIONS[name]
+    schema_path = os.path.join(bench_data, "schema.txt")
+    args = ["--query", _write(tmp_path / "q.sql", sql), "--schema", schema_path]
+    assert main(["analyze", *args]) == 0
+    assert main(["privatize", *args, "--data", bench_data, "--seed", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["run", *args, "--data", bench_data, "--json"]) == 0
+    sensitivity = json.loads(capsys.readouterr().out)["sensitivity"]
+    if name != "exp_factor":
+        assert sensitivity == 0.0
+        return
+    # the largest derivative of the modified query in one sensitive row's
+    # l_quantity, by central differences in the engine, per unit of its norm
+    with open(schema_path) as fh:
+        schema = sf.parse_schema(fh.read())
+    db = sf.load_database(bench_data, schema)
+    plan = build_plan(sf.validate(sf.parse_query(sql), schema), PlanParams())
+    tp, = plan.table_plans
+    scale = tp.witness.effective("lineitem.l_quantity")
+    quantity = db.tables["lineitem"].columns["l_quantity"]
+    h, fd = 1e-3, 0.0
+    for row in np.flatnonzero(db.tables["lineitem"].sensitive):
+        hi, lo = (with_cells(db, "lineitem", row, {"l_quantity": quantity[row] + dq})
+                  for dq in (h, -h))
+        diff = eng.run_modified(plan, hi) - eng.run_modified(plan, lo)
+        fd = max(fd, abs(diff) / (2 * h) / scale)
+    assert fd > 0.0
+    assert sensitivity >= fd * (1 - 1e-6)
 
 
 def test_analyze_stdout_matches_golden(tmp_path, capsys):

@@ -28,6 +28,7 @@ from dersens.norms import Combine, Scale, Var, eval_norm, parse_norm
 from ds_oracles import ds_expr, finite_diff_ds, release_bound
 
 X, Y, Z = Col("x"), Col("y"), Col("z")
+K = Opaque("k", "k")
 INF = math.inf
 
 
@@ -316,7 +317,14 @@ SMOOTH_CASES = [
     ("scaled", Sigmoid(0.5, X), Scale(0.5, Var("x")), 1.0),
     ("composite_power", Power(LpNorm(2.0, (X, Y)), 2.0), parse_norm("lp 2.0 x y"), 0.5),
     ("affine", Sum((Const(2.0), Prod((Const(-3.0), X)))), Var("x"), 0.5),
+    # x (k - 50)^3 + x^2 with the public k at 48: the cube is -8, and a
+    # signed value bound of it would cancel the square's term
+    ("signed_public_factor",
+     Sum((Prod((X, Power(Sum((K, Const(-50.0))), 3.0))), Power(X, 2.0))), Var("x"), 0.5),
 ]
+
+# the bindings of the public values the cases read
+OPAQUE_POINT = {"k": 48.0}
 
 
 # an lp atom of several columns is charged per coordinate: its rate b = beta
@@ -342,6 +350,7 @@ def test_smoothness_and_upper_bound(name, f, norm, beta):
             p1 = {v: abs(x) + 1e-3 for v, x in p1.items()}
             p2 = {v: abs(x) + 1e-3 for v, x in p2.items()}
         d = eval_norm(norm, {v: p1[v] - p2[v] for v in vs})
+        p1, p2 = {**OPAQUE_POINT, **p1}, {**OPAQUE_POINT, **p2}
         grow = math.exp(beta_eff * d) * (1 + 1e-9)
         for g in (sb.ubf, sb.ubds):
             v1, v2 = eval_scalar(g, p1), eval_scalar(g, p2)

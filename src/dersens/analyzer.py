@@ -27,7 +27,6 @@ from dersens.exprs import (
     Div,
     Exp,
     IfGE,
-    IfNonzero,
     Ln,
     LpNorm,
     Max,
@@ -40,7 +39,6 @@ from dersens.exprs import (
     SigmoidDeriv,
     Sum,
     Tauoid,
-    TauoidDeriv,
     abs_expr,
     add,
     mul,
@@ -178,10 +176,11 @@ class _Lowerer:
             if e.op == "*":
                 return mul(lhs, rhs)
             if e.op == "/":
-                if ex.expr_vars(rhs):
+                den_vars = ex.expr_vars(rhs)
+                if den_vars:
                     raise AnalysisError(
-                        "division by sensitive data is outside the smooth fragment; "
-                        "declare a logarithmic metric for the denominator instead"
+                        "a denominator must read only public columns; rewrite the "
+                        "query so it does not divide by " + ", ".join(sorted(den_vars))
                     )
                 return Div(lhs, rhs)
         if isinstance(e, FuncCall):
@@ -515,16 +514,10 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
     if isinstance(e, SigmoidDeriv):
         z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
         return f"(({_fmt_num(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
-    if isinstance(e, (Tauoid, TauoidDeriv)):
-        # z = exp(-|u|) in (0, 1], as in exprs._tauoid and _tauoid_deriv
-        u = render(mul(Const(e.alpha), e.child), memo)
-        z = f"exp(-abs({u}))"
-        z2 = f"({z} ^ 2.0)"
-        if isinstance(e, Tauoid):
-            return f"((2.0 * {z}) / (1.0 + {z2}))"
-        a2 = (f"case when ({u} >= 0.0) then {_fmt_num(-2.0 * e.alpha)} "
-              f"else {_fmt_num(2.0 * e.alpha)} end")
-        return f"((({a2}) * {z} * (1.0 - {z2})) / ((1.0 + {z2}) ^ 2.0))"
+    if isinstance(e, Tauoid):
+        # z = exp(-|u|) in (0, 1], as in exprs._tauoid
+        z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
+        return f"((2.0 * {z}) / (1.0 + ({z} ^ 2.0)))"
     if isinstance(e, Min):
         return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
     if isinstance(e, Max):
@@ -549,9 +542,6 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
             f"case when ({render(e.test, memo)} >= {render(e.threshold, memo)}) "
             f"then {render(e.if_true, memo)} else {render(e.if_false, memo)} end"
         )
-    if isinstance(e, IfNonzero):
-        g = render(e.guard, memo)
-        return f"case when ({g} = 0.0) then 0.0 else ({g} * {render(e.factor, memo)}) end"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

@@ -16,7 +16,7 @@ import tempfile
 from dersens import analyzer as an
 from dersens import sqlfront as sf
 from dersens.exprs import AnalysisError, EvalError
-from dersens.mechanism import InfeasibleParams, NoiseParams, derive_b, privatize
+from dersens.mechanism import InfeasibleParams, NoiseParams, privatize
 from dersens.norms import NormError
 
 REPORT_VERSION = 1
@@ -71,7 +71,7 @@ def _effective_beta(args, plan) -> float:
 def _noise_params(args, plan) -> NoiseParams:
     beta = _effective_beta(args, plan)
     try:
-        b = derive_b(args.epsilon, beta, args.gamma)
+        return NoiseParams(args.epsilon, beta, args.gamma)
     except InfeasibleParams as exc:
         msg = str(exc)
         if exc.min_epsilon is not None and plan.beta_achieved > args.beta:
@@ -80,7 +80,6 @@ def _noise_params(args, plan) -> NoiseParams:
                 f" (requested {args.beta:.6g})"
             )
         raise CliError(msg, EXIT_INFEASIBLE) from None
-    return NoiseParams(args.epsilon, beta, args.gamma, b)
 
 
 def _seed(args) -> int | None:
@@ -286,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        # the parser and the calculus recurse once per nesting level
+        print("error: the query nests too deeply to analyse", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ cross-table conjuncts as masks on the joined rows (a cross product is formed
 and filtered a block at a time), and returns the join as per-alias row
 numbers in nested-loop order (first table slowest).  Each ScalarExpr is
 compiled once into numpy closures; structurally equal subtrees share one
-closure and one value per row set.  Under IfGE and IfNonzero each branch
-is evaluated only on the rows that take it, so domain errors are
-raised exactly for rows a tree walk would evaluate.  Aggregation is exact
+closure and one value per row set.  Under IfGE, the one branching node,
+each branch is evaluated only on the rows that take it, so domain errors
+are raised exactly for rows a tree walk would evaluate.  Aggregation is exact
 (`math.fsum`, ordered products and ordered per-group accumulation), so
 repeated runs are bit-identical.
 
@@ -39,7 +39,6 @@ from dersens.exprs import (
     EvalError,
     Exp,
     IfGE,
-    IfNonzero,
     Ln,
     LpNorm,
     Max,
@@ -52,7 +51,6 @@ from dersens.exprs import (
     SigmoidDeriv,
     Sum,
     Tauoid,
-    TauoidDeriv,
     checked_fsum,
     dual_exponent,
     eval_scalar,  # re-exported: the row-at-a-time oracle of the compiled path
@@ -496,8 +494,20 @@ class _Compiler:
             return lambda fr: fr.binding(e.key, "derived value")
         if isinstance(e, (Sum, Prod, Min, Max, LpNorm)):
             return self._nary(e, [self(c) for c in e.children])
-        if isinstance(e, (IfGE, IfNonzero)):
-            return self._branching(e)
+        if isinstance(e, IfGE):
+            test, threshold = self(e.test), self(e.threshold)
+            if_true, if_false = self(e.if_true), self(e.if_false)
+
+            def if_ge(fr):
+                # each branch is evaluated only on the rows that take it
+                mask = test(fr) >= threshold(fr)
+                out = np.empty(fr.n)
+                for m, branch in ((mask, if_true), (~mask, if_false)):
+                    if m.any():
+                        out[m] = branch(fr.take(m))
+                return out
+
+            return if_ge
         if isinstance(e, Div):
             num, den = self(e.num), self(e.den)
 
@@ -558,14 +568,6 @@ class _Compiler:
                 return 2.0 * z / (1.0 + z * z)
 
             return tauoid
-        if isinstance(e, TauoidDeriv):
-            def tauoid_deriv(fr):
-                t = a * child(fr)
-                z = np.exp(-np.abs(t))
-                mag = 2.0 * a * z * (1.0 - z * z) / (1.0 + z * z) ** 2
-                return np.where(t >= 0.0, -mag, mag)
-
-            return tauoid_deriv
         raise EvalError(f"cannot evaluate {type(e).__name__}")
 
     @staticmethod
@@ -584,33 +586,6 @@ class _Compiler:
         if p == 1.0:
             return lambda fr: _row_fsum([np.abs(k(fr)) for k in kids])
         return lambda fr: _row_fsum([np.abs(k(fr)) ** p for k in kids]) ** (1.0 / p)
-
-    def _branching(self, e: IfGE | IfNonzero) -> Compiled:
-        if isinstance(e, IfGE):
-            test, threshold = self(e.test), self(e.threshold)
-            if_true, if_false = self(e.if_true), self(e.if_false)
-
-            def if_ge(fr):
-                # each branch is evaluated only on the rows that take it
-                mask = test(fr) >= threshold(fr)
-                out = np.empty(fr.n)
-                for m, branch in ((mask, if_true), (~mask, if_false)):
-                    if m.any():
-                        out[m] = branch(fr.take(m))
-                return out
-
-            return if_ge
-        guard, factor = self(e.guard), self(e.factor)
-
-        def if_nonzero(fr):
-            g = guard(fr)
-            live = g != 0.0
-            out = np.zeros(fr.n)
-            if live.any():
-                out[live] = g[live] * factor(fr.take(live))
-            return out
-
-        return if_nonzero
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Expressions are immutable trees over table columns.  Two views matter:
 carries one rate map for its value bound and one for all its sensitivity
 terms at once; sums, min/max and lp combinations of subexpressions meet in
 one fold (`_joined`), and the exponential-family leaves share one rule.  A
-subexpression that reads no sensitive column and that no rule covers is a
-data constant.
+product-rule term is the plain product of a factor's term and its cofactor:
+where the term is 0 and the cofactor is not finite, the row's bound is NaN,
+which the engine refuses, rather than 0.  A subexpression that reads no sensitive column and that no
+rule covers is a data constant.
 
 Bounds are measured in the query norm lp 1 (scaled s_v v) ..., one slot per
 sensitive column at its metric scale s_v; `env_for_scales` turns the scales
@@ -40,7 +42,6 @@ __all__ = [
     "EvalError",
     "Exp",
     "IfGE",
-    "IfNonzero",
     "Ln",
     "LpNorm",
     "Max",
@@ -53,7 +54,6 @@ __all__ = [
     "SigmoidDeriv",
     "Sum",
     "Tauoid",
-    "TauoidDeriv",
     "abs_expr",
     "add",
     "analyze",
@@ -118,8 +118,8 @@ class Exp:
 
 @dataclass(frozen=True)
 class Ln:
-    """Natural log, lowered from `ln()` in a query; `analyze` rejects it, as
-    it would need a logarithmic metric."""
+    """Natural log, lowered from `ln()` in a query; `analyze` takes it only as
+    a data constant, over an argument that reads no sensitive column."""
 
     child: "ScalarExpr"
 
@@ -154,14 +154,6 @@ class Tauoid:
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError("tauoid precision must be positive")
-
-
-@dataclass(frozen=True)
-class TauoidDeriv:
-    """d/dc of Tauoid(alpha, c); signed."""
-
-    alpha: float
-    child: "ScalarExpr"
 
 
 @dataclass(frozen=True)
@@ -213,17 +205,9 @@ class IfGE:
     if_false: "ScalarExpr"
 
 
-@dataclass(frozen=True)
-class IfNonzero:
-    """guard * factor, short-circuited to 0 when guard = 0 (avoids 0 * huge)."""
-
-    guard: "ScalarExpr"
-    factor: "ScalarExpr"
-
-
 ScalarExpr = Union[
-    Const, Col, Opaque, Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid, TauoidDeriv,
-    Sum, Prod, Min, Max, LpNorm, Div, IfGE, IfNonzero,
+    Const, Col, Opaque, Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid,
+    Sum, Prod, Min, Max, LpNorm, Div, IfGE,
 ]
 
 ZERO = Const(0.0)
@@ -285,7 +269,7 @@ def expr_vars(e: ScalarExpr) -> frozenset[str]:
 def _subexprs(e: ScalarExpr) -> Iterator[ScalarExpr]:
     if isinstance(e, (Sum, Prod, Min, Max, LpNorm)):
         yield from e.children
-    elif isinstance(e, (Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid, TauoidDeriv)):
+    elif isinstance(e, (Power, Exp, Ln, Sigmoid, SigmoidDeriv, Tauoid)):
         yield e.child
     elif isinstance(e, Div):
         yield e.num
@@ -295,9 +279,6 @@ def _subexprs(e: ScalarExpr) -> Iterator[ScalarExpr]:
         yield e.threshold
         yield e.if_true
         yield e.if_false
-    elif isinstance(e, IfNonzero):
-        yield e.guard
-        yield e.factor
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +305,6 @@ def _tauoid(a: float, x: float) -> float:
     t = abs(a * x)
     z = math.exp(-t)
     return 2.0 * z / (1.0 + z * z)
-
-
-def _tauoid_deriv(a: float, x: float) -> float:
-    t = a * x
-    z = math.exp(-abs(t))
-    mag = 2.0 * a * z * (1.0 - z * z) / (1.0 + z * z) ** 2
-    return -mag if t >= 0.0 else mag
 
 
 def checked_fsum(values: Iterable[float]) -> float:
@@ -382,8 +356,6 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
         return _sigmoid_deriv(e.alpha, eval_scalar(e.child, row))
     if isinstance(e, Tauoid):
         return _tauoid(e.alpha, eval_scalar(e.child, row))
-    if isinstance(e, TauoidDeriv):
-        return _tauoid_deriv(e.alpha, eval_scalar(e.child, row))
     if isinstance(e, Sum):
         return checked_fsum([eval_scalar(c, row) for c in e.children])
     if isinstance(e, Prod):
@@ -416,11 +388,6 @@ def eval_scalar(e: ScalarExpr, row: Mapping[str, float]) -> float:
         if eval_scalar(e.test, row) >= eval_scalar(e.threshold, row):
             return eval_scalar(e.if_true, row)
         return eval_scalar(e.if_false, row)
-    if isinstance(e, IfNonzero):
-        g = eval_scalar(e.guard, row)
-        if g == 0.0:
-            return 0.0
-        return g * eval_scalar(e.factor, row)
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 
@@ -663,8 +630,8 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
     if isinstance(e, Ln):
         return _refused(
             e,
-            "ln over sensitive data needs a logarithmic metric on that column; "
-            "rewrite the query or the norm",
+            "ln is supported only over public columns; its argument reads "
+            "sensitive data, so rewrite the query without it",
         )
 
     if isinstance(e, Power):
@@ -713,7 +680,7 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
                 others = kids[:i] + kids[i + 1 :]
                 cof = functools.reduce(mul, (o.ubf for o in others), ONE)
                 cof_rates = _rate_sum(*(o.ubf_rates for o in others))
-                ds = {v: _guarded_mul(dv, cof) for v, dv in k.ds.items()}
+                ds = {v: mul(dv, cof) for v, dv in k.ds.items()}
                 terms.append(Bound(cof, ds=ds, ds_rates=_rate_sum(k.ds_rates, cof_rates)))
         out = _joined(terms, functools.reduce(mul, (k.ubf for k in kids)), _sum_of)
         out.ubf_rates = _rate_sum(*(k.ubf_rates for k in kids))
@@ -737,9 +704,8 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         den_vars = expr_vars(e.den)
         if den_vars:
             raise AnalysisError(
-                "division by sensitive data needs the Table-2 style rewrite to "
-                "exp/ln and a logarithmic metric; denominator uses "
-                + ", ".join(sorted(den_vars))
+                "a denominator must read only public columns; rewrite the query "
+                "so it does not divide by " + ", ".join(sorted(den_vars))
             )
         num = analyze(e.num, env)
         ubf = Div(num.ubf, abs_expr(e.den))
@@ -747,14 +713,6 @@ def analyze(e: ScalarExpr, env: _Env) -> Bound:
         return Bound(ubf, num.ubf_rates, ds, num.ds_rates)
 
     return _refused(e, f"no smooth-bound rule for {type(e).__name__}")
-
-
-def _guarded_mul(d: ScalarExpr, cof: ScalarExpr) -> ScalarExpr:
-    if isinstance(cof, Const):
-        return mul(d, cof)
-    if isinstance(d, Const):
-        return mul(d, cof)
-    return IfNonzero(d, cof)
 
 
 def env_for_scales(scales: Mapping[str, float], beta: float) -> _Env:

@@ -9,7 +9,7 @@ on the derivative sensitivity and epsilon = (gamma+1) * (b + beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -27,10 +27,9 @@ __all__ = [
 
 
 class InfeasibleParams(ValueError):
-    def __init__(self, message: str, min_epsilon: float | None = None, min_beta: float | None = None):
+    def __init__(self, message: str, min_epsilon: float | None = None):
         super().__init__(message)
         self.min_epsilon = min_epsilon
-        self.min_beta = min_beta
 
 
 def derive_b(epsilon: float, beta: float, gamma: float) -> float:
@@ -59,11 +58,10 @@ class NoiseParams:
     epsilon: float
     beta: float
     gamma: float = 4.0
-    b: float = 0.0  # derived; pass 0 to compute
+    b: float = field(init=False)  # always derive_b(epsilon, beta, gamma)
 
     def __post_init__(self):
-        if self.b == 0.0:
-            object.__setattr__(self, "b", derive_b(self.epsilon, self.beta, self.gamma))
+        object.__setattr__(self, "b", derive_b(self.epsilon, self.beta, self.gamma))
 
 
 class GenCauchy:

@@ -23,7 +23,6 @@ from dersens.exprs import (
     EvalError,
     Exp,
     IfGE,
-    IfNonzero,
     Ln,
     LpNorm,
     Max,
@@ -36,7 +35,6 @@ from dersens.exprs import (
     SigmoidDeriv,
     Sum,
     Tauoid,
-    TauoidDeriv,
     _fold_max,
     _rate_max,
     abs_expr,
@@ -79,10 +77,13 @@ def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
             return ZERO
         return mul(SigmoidDeriv(e.alpha, e.child), d)
     if isinstance(e, Tauoid):
+        # tau' = -a tanh(a c) tau
         d = partial_expr(e.child, v)
         if d == ZERO:
             return ZERO
-        return mul(TauoidDeriv(e.alpha, e.child), d)
+        a, c = e.alpha, e.child
+        tanh = Div(sub(Exp(a, c), Exp(-a, c)), add(Exp(-a, c), Exp(a, c)))
+        return mul(mul(mul(Const(-a), tanh), e), d)
     if isinstance(e, SigmoidDeriv):
         # s'' = a s' (1 - 2 sigma)
         d = partial_expr(e.child, v)
@@ -90,18 +91,6 @@ def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
             return ZERO
         inner = sub(ONE, mul(Const(2.0), Sigmoid(e.alpha, e.child)))
         return mul(mul(Const(e.alpha), mul(SigmoidDeriv(e.alpha, e.child), inner)), d)
-    if isinstance(e, TauoidDeriv):
-        # tau'' = -a tanh(a c) tau' - a^2 tau^3
-        d = partial_expr(e.child, v)
-        if d == ZERO:
-            return ZERO
-        a, c = e.alpha, e.child
-        tanh = Div(sub(Exp(a, c), Exp(-a, c)), add(Exp(-a, c), Exp(a, c)))
-        second = add(
-            mul(mul(Const(-a), tanh), TauoidDeriv(a, c)),
-            mul(Const(-(a * a)), Power(Tauoid(a, c), 3.0)),
-        )
-        return mul(second, d)
     if isinstance(e, Sum):
         parts = [partial_expr(c, v) for c in e.children]
         parts = [p for p in parts if p != ZERO]
@@ -139,8 +128,6 @@ def partial_expr(e: ScalarExpr, v: str) -> ScalarExpr:
             return ZERO
         # (n' d - n d') / d^2
         return Div(sub(mul(dn, e.den), mul(e.num, dd)), Power(e.den, 2.0))
-    if isinstance(e, IfNonzero):
-        return partial_expr(mul(e.guard, e.factor), v)
     raise EvalError(f"no derivative rule for {type(e).__name__}")
 
 

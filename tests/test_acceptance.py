@@ -43,7 +43,6 @@ from dersens.exprs import (
     SigmoidDeriv,
     Sum,
     Tauoid,
-    TauoidDeriv,
     eval_scalar,
     expr_vars,
 )
@@ -188,7 +187,6 @@ GRADIENT_CONSTRUCTORS = [
     ("Sigmoid", Sigmoid(1.5, X), Var("x")),
     ("SigmoidDeriv", SigmoidDeriv(1.5, X), Var("x")),
     ("Tauoid", Tauoid(1.2, X), Var("x")),
-    ("TauoidDeriv", TauoidDeriv(1.2, X), Var("x")),
     ("Sum", Sum((X, Prod((Y, Y)))), parse_norm("lp 2.0 x y")),
     ("Prod", Prod((X, Y)), parse_norm("lp 1.0 x y")),
     ("Min", Min((X, Y)), parse_norm("lp 1.0 x y")),
@@ -196,7 +194,6 @@ GRADIENT_CONSTRUCTORS = [
     ("LpNorm", LpNorm(3.0, (X, Y)), parse_norm("lp 2.0 x y")),
     ("LpNormInf", LpNorm(INF, (X, Y)), parse_norm("lp 1.0 x y")),
     ("Div", Div(Prod((X, Y)), Const(2.0)), parse_norm("lp 2.0 x y")),
-    ("IfNonzero", ex.IfNonzero(X, Y), parse_norm("lp 1.0 x y")),
 ]
 
 

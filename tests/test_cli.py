@@ -423,6 +423,54 @@ def test_a_public_subexpression_is_a_data_constant(bench_data, tmp_path, capsys,
     assert sensitivity >= fd * (1 - 1e-6)
 
 
+# Subexpressions over sensitive columns that no smooth-bound rule covers
+_SENSITIVE_REFUSALS = {
+    "division": "select sum(lineitem.l_extendedprice / lineitem.l_quantity) from lineitem;",
+    "ln": "select sum(ln(lineitem.l_quantity)) from lineitem;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SENSITIVE_REFUSALS))
+def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, capsys, name):
+    query = _write(tmp_path / "q.sql", _SENSITIVE_REFUSALS[name])
+    capsys.readouterr()
+    assert main(["analyze", "--query", query,
+                 "--schema", os.path.join(bench_data, "schema.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "public columns" in err
+    assert "logarithmic" not in err  # the norm grammar has no such metric
+
+
+def test_a_zero_term_times_an_infinite_cofactor_fails_closed(tmp_path, capsys):
+    # at k = -200 and alpha = 5 the sigmoid's derivative underflows to 0,
+    # and at beta = 1e-200 the value bounds of q and r are each about
+    # 3.7e199, so their product, the cofactor of k's term, is inf: the
+    # bound 0 * inf is indeterminate and must not be released as 0
+    write_table(str(tmp_path), "t", ["k", "q", "r"],
+                [[-200.0, 1.0, 1.0], [1.0, 1.0, 1.0]], [True, False])
+    schema = _write(tmp_path / "schema.txt", "table t\ncol k real\ncol q real\ncol r real\n"
+                                             "rows lp 1.0\nnorm lp 1.0 k q r\n")
+    query = _write(tmp_path / "q.sql", "select sum(t.q * t.r) from t where t.k > 0;")
+    capsys.readouterr()
+    assert main(["run", "--query", query, "--schema", schema, "--data", str(tmp_path),
+                 "--alpha", "5", "--beta", "1e-200", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: the sensitivity of a t row is nan\n"
+    assert out == ""
+
+
+def test_a_query_too_deep_to_analyse_fails_closed(bench_data, tmp_path, capsys):
+    terms = " + ".join(["lineitem.l_quantity"] * 2000)
+    query = _write(tmp_path / "q.sql", f"select sum({terms}) from lineitem;")
+    capsys.readouterr()
+    assert main(["analyze", "--query", query,
+                 "--schema", os.path.join(bench_data, "schema.txt")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: the query nests too deeply to analyse\n"
+    assert out == ""
+
+
 def test_analyze_stdout_matches_golden(tmp_path, capsys):
     import os
 

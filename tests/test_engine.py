@@ -20,7 +20,7 @@ from dersens import engine as eng
 from dersens import sqlfront as sf
 from dersens.analyzer import PlanParams, build_plan, emit_sql, render
 from dersens.cli import main as cli_main
-from dersens.exprs import Col, EvalError, Sum, Tauoid, TauoidDeriv, eval_scalar
+from dersens.exprs import Col, EvalError, Sum, Tauoid, eval_scalar
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
 from sqlite_exec import sqlite_dialect, sqlite_value, strict_sqlite
 
@@ -335,9 +335,8 @@ def test_b16_tauoid_sql_agrees_far_from_the_in_list(tmp_path):
     assert engine["modified"] > 1.0  # rows 1 and 2 count, the far ones do not
 
 
-@pytest.mark.parametrize("node", [Tauoid, TauoidDeriv])
-def test_tauoid_forms_render_without_overflow(node):
-    e = node(5.0, Col("t.x"))
+def test_tauoid_renders_without_overflow():
+    e = Tauoid(5.0, Col("t.x"))
     con = strict_sqlite()
     con.execute("CREATE TABLE t (x REAL)")
     xs = [-1e4, -200.0, -141.0, -1.0, -0.0, 0.0, 0.3, 1.0, 141.0, 200.0, 1e4]

@@ -16,21 +16,22 @@ import pytest
 from conftest import write_table
 from dersens import engine as eng
 from dersens import sqlfront as sf
-from dersens.analyzer import PlanParams, build_plan, emit_sql
+from dersens.analyzer import PlanParams, build_plan, emit_sql, render
 from dersens.exprs import (
     Col,
     Const,
     Div,
     EvalError,
     IfGE,
-    IfNonzero,
     Ln,
+    LpNorm,
     Power,
     Prod,
     Sigmoid,
     Sum,
     eval_scalar,
 )
+from dersens.norms import INF
 from dersens.sqlfront import (
     BinOp,
     BoolCol,
@@ -45,7 +46,7 @@ from dersens.sqlfront import (
     StrLit,
     TruePred,
 )
-from sqlite_exec import sqlite_value, strict_sqlite
+from sqlite_exec import sqlite_dialect, sqlite_value, strict_sqlite
 
 SCHEMA = """\
 table t
@@ -438,6 +439,15 @@ def test_shared_public_rows_give_the_same_results(tmp_path):
 # ---------------------------------------------------------------------------
 
 X, Y = Col("t.a"), Col("t.b")
+XS, YS = [0.0, 2.0, 0.0, 3.5, 0.25], [1.0, 0.0, 0.0, 2.0, 4.0]
+
+# n-ary lp norms, whose compiled kernels and renderings no query reaches
+LP_NORMS = [
+    LpNorm(1.0, (X, Sum((Y, Const(-2.0))))),
+    LpNorm(2.0, (X, Y, Const(-1.5))),
+    LpNorm(3.0, (Sum((X, Prod((Const(-1.0), Y)))), Y)),
+    LpNorm(INF, (X, Prod((Const(-1.0), Y)), Const(0.5))),
+]
 
 
 def _frame(tmp_path, xs, ys):
@@ -451,23 +461,35 @@ def _frame(tmp_path, xs, ys):
 
 
 @pytest.mark.parametrize("expr", [
-    IfNonzero(X, Ln(X)),  # ln(0) only behind a zero guard
-    IfNonzero(Y, Div(Const(1.0), Y)),
+    IfGE(Const(0.0), X, Const(0.0), Prod((X, Ln(X)))),  # ln only where x > 0
+    IfGE(Const(0.0), Y, Const(0.0), Div(Const(1.0), Y)),  # 1/y only where y > 0
     IfGE(X, Const(0.5), Ln(X), Const(-1.0)),  # ln only where x >= 0.5
     IfGE(X, Const(0.5), Power(X, 0.5), Sum((X, Const(3.0)))),
-    Prod((IfNonzero(Y, Div(X, Y)), Sigmoid(2.0, Sum((X, Prod((Const(-1.0), Y))))))),
+    Prod((IfGE(Const(0.0), Y, Const(0.0), Div(X, Y)),
+          Sigmoid(2.0, Sum((X, Prod((Const(-1.0), Y))))))),
+    *LP_NORMS,
 ])
 def test_branches_skip_rows_that_would_fail(tmp_path, expr):
-    xs, ys = [0.0, 2.0, 0.0, 3.5, 0.25], [1.0, 0.0, 0.0, 2.0, 4.0]
-    frame, envs = _frame(tmp_path, xs, ys)
+    frame, envs = _frame(tmp_path, XS, YS)
     got = eng._Compiler()(expr)(frame)
     want = np.array([eval_scalar(expr, env) for env in envs])
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("expr", LP_NORMS)
+def test_lp_norms_render_as_they_evaluate(expr):
+    con = strict_sqlite()
+    con.execute("CREATE TABLE t (a REAL, b REAL)")
+    con.executemany("INSERT INTO t VALUES (?, ?)", list(zip(XS, YS)))
+    stmt = sf.print_expr(sqlite_dialect(sf.parse_emitted(f"SELECT {render(expr)} FROM t;").select))
+    got = [v for (v,) in con.execute(f"SELECT {stmt} FROM t").fetchall()]
+    want = [eval_scalar(expr, {"t.a": x, "t.b": y}) for x, y in zip(XS, YS)]
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_live_rows_still_raise(tmp_path):
     frame, envs = _frame(tmp_path, [1.0, -2.0], [1.0, 1.0])
-    expr = IfNonzero(Y, Ln(X))  # the guard is nonzero on the negative row
+    expr = IfGE(Y, Const(0.5), Ln(X), Const(0.0))  # the negative row takes ln
     with pytest.raises(EvalError):
         eval_scalar(expr, envs[1])
     with pytest.raises(EvalError):

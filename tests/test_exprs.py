@@ -176,7 +176,6 @@ GRADIENT_CASES = [
     ("lpnorm_inf", LpNorm(INF, (X, Y)), parse_norm("lp 1.0 x y")),
     ("div", Div(X, Const(2.0)), Var("x")),
     ("div_col", Div(X, Y), parse_norm("lp 1.0 x y")),
-    ("ifnonzero", ex.IfNonzero(X, Y), parse_norm("lp 1.0 x y")),
 ]
 
 

@@ -44,6 +44,12 @@ def test_noise_params_invariant():
     assert p.b == 0.1
     with pytest.raises(InfeasibleParams):
         NoiseParams(0.4, 0.1, 4.0)
+    # b is derived from epsilon, beta and gamma, never set: a caller-set b
+    # would bypass the epsilon accounting of derive_b
+    with pytest.raises(TypeError):
+        NoiseParams(1.0, 0.1, 4.0, 0.5)
+    with pytest.raises(TypeError):
+        NoiseParams(1.0, 0.1, 4.0, b=0.5)
 
 
 @pytest.mark.parametrize("epsilon, beta, gamma", [

@@ -134,7 +134,7 @@ def _run_report(args, with_noise: bool) -> dict:
     if args.data is None:
         raise CliError("missing required --data directory")
     try:
-        db = sf.load_database(args.data, ctx.schema)
+        db = sf.load_database(args.data, ctx.schema, ctx.reads())
         rows = eng.public_rows(ctx, db)
         initial = eng.run_initial(ctx, db, rows)
         modified = eng.run_modified(plan, db, rows)
@@ -172,6 +172,8 @@ def _run_report(args, with_noise: bool) -> dict:
             "beta": params.beta,
             "gamma": params.gamma,
             "b": params.b,
+            # a seed that was given can be given again, to recompute the noise
+            "private": seed is None,
         })
         if seed is not None:
             report["seed"] = seed

@@ -522,6 +522,11 @@ class _Matcher:
     def _match_injective(
         self, vs: tuple[NormExpr, ...], ws: tuple[NormExpr, ...]
     ) -> dict[str, float] | None:
+        # every match ends in a variable matched to itself, so a child that
+        # holds none of the slots' variables matches no slot: dropping it
+        # leaves the injection, and the DP's size follows the query's width
+        slot_vars = frozenset().union(*map(norm_vars, vs))
+        ws = tuple(w for w in ws if not slot_vars.isdisjoint(norm_vars(w)))
         m, n = len(vs), len(ws)
         if m > n or n > 16:
             return None

@@ -21,7 +21,7 @@ import warnings
 from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from dersens.norms import NormExpr, norm_vars, parse_norm
 
@@ -844,9 +844,9 @@ def date_to_months(value: str) -> float:
 
 @dataclass
 class TableData:
-    """A loaded table, in file order: one read-only array per schema column
-    (float, or object arrays of str for text columns), the row IDs (object
-    array of str) and the boolean sensitivity flags."""
+    """A loaded table, in file order: one read-only array per column that
+    was read (float, or object arrays of str for text columns), the row IDs
+    (object array of str) and the boolean sensitivity flags."""
 
     name: str
     columns: dict[str, np.ndarray]
@@ -892,6 +892,16 @@ def _frozen(values: Iterable, dtype: type, n: int) -> np.ndarray:
     return out
 
 
+def _frozen_flags(flags: Iterable[str]) -> np.ndarray:
+    """Flags already checked to be `0` or `1`, as a read-only bool array:
+    one compare over their bytes."""
+    import numpy as np
+
+    out = np.frombuffer("".join(flags).encode("ascii"), np.uint8) == ord("1")
+    out.flags.writeable = False
+    return out
+
+
 # ---- the C path: one np.loadtxt call per table file ------------------------
 
 # The loadtxt type of each column type.  int columns are read as int64 and
@@ -900,38 +910,50 @@ def _frozen(values: Iterable, dtype: type, n: int) -> np.ndarray:
 _LOADTXT_TYPES = {"text": object, "int": "int64", "real": "float64", "date-months": "float64"}
 
 
-def _loadtxt(path: str, header: list[str], types: list[str]) -> np.ndarray | None:
-    """The data records of the CSV file at `path` as one structured array
-    (fields f0, f1, ... of the given column types), read by a single call of
-    numpy's C text reader; or None where that reader cannot take the file.
+def _loadtxt(path: str, header: list[str], types: list[str],
+             usecols: list[int]) -> np.ndarray | None:
+    """The fields `usecols` (ascending, the last field among them) of the
+    data records of the CSV file at `path` as one structured array (fields
+    f<k> of the given column types), read by a single call of numpy's C text
+    reader; or None where that reader cannot take the file.
 
     It cannot take a file it cannot open, one whose header is not `header`,
     whose text holds a quote, a carriage return or NUL, or has a line that
     may exceed the csv module's field size limit, or on which np.loadtxt
     raises or warns: a cell it cannot parse exactly as the csv path would
     (`1_000`, `1.0` in an int column, ISO dates, empty cells, ints beyond
-    int64), a record of the wrong width, a whitespace-only line, no records.
-    The csv path reads those files, and it alone words the error messages."""
+    int64), a short record, a whitespace-only line, no records.  A long
+    record goes unseen by np.loadtxt once it is given `usecols`; the count
+    of commas in the text finds it.  The csv path reads those files, and it
+    alone words the error messages."""
     import numpy as np
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
     except (UnicodeDecodeError, OSError):
         return None
     if (text.partition("\n")[0].split(",") != header or '"' in text or "\r" in text
             or "\0" in text or _may_have_long_line(text, csv.field_size_limit())):
         return None
-    dtype = np.dtype([(f"f{k}", _LOADTXT_TYPES[ty]) for k, ty in enumerate(types)])
+    dtype = np.dtype([(f"f{k}", _LOADTXT_TYPES[types[k]]) for k in usecols])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # given a path, loadtxt reads the file in chunks; given a file
             # object it would go through it line by line
-            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                              ndmin=1, encoding="utf-8")
+            records = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                                 ndmin=1, encoding="utf-8", usecols=usecols)
     except (ValueError, TypeError, OverflowError, Warning):
         return None
+    # with the last field read, no record is short; unquoted, every comma
+    # is a delimiter, so this count leaves no record long either (numpy
+    # counts the bytes several times faster than str.count)
+    commas = np.count_nonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    if commas != (len(header) - 1) * (len(records) + 1):
+        return None
+    return records
 
 
 def _may_have_long_line(text: str, limit: int) -> bool:
@@ -1002,8 +1024,16 @@ def _read_column(cells: list[str], ty: str, table: str, col: str) -> np.ndarray:
         return _frozen((_convert(v, ty, table, col) for v in cells), float, len(cells))
 
 
-def load_database(data_dir: str, schema: Schema) -> Database:
-    """Load <table>.csv plus <table>_sensRows.csv for every schema table.
+def load_database(data_dir: str, schema: Schema,
+                  reads: Mapping[str, Iterable[str]] | None = None) -> Database:
+    """Load <table>.csv plus <table>_sensRows.csv for the schema's tables.
+
+    `reads` maps each table to load to the columns to read from it (the ID
+    is always read); a table it does not name is not opened, and `columns`
+    of each TableData holds only the columns read.  None reads every column
+    of every table.  The whole header and the width of every record are
+    checked, but only the cells of the columns read are converted, so a bad
+    cell elsewhere raises no error.
 
     Each table file is read by one np.loadtxt call where numpy's C text
     reader can take it, and each sensRows file by one str.split where its
@@ -1012,16 +1042,23 @@ def load_database(data_dir: str, schema: Schema) -> Database:
     every error message about a file's form comes from the csv path."""
     tables: dict[str, TableData] = {}
     for tname, ts in schema.tables.items():
+        if reads is not None and tname not in reads:
+            continue
         path = os.path.join(data_dir, f"{tname}.csv")
         if not os.path.exists(path):
             raise SchemaError(f"missing data file {path}")
+        # (field index, name, type) of each column read
+        read = [(k, c, ty) for k, (c, ty) in enumerate(ts.columns, 1)
+                if reads is None or c in reads[tname]]
         header = ["ID", *(c for c, _ in ts.columns)]
-        records = _loadtxt(path, header, ["text", *(ty for _, ty in ts.columns)])
+        types = ["text", *(ty for _, ty in ts.columns)]
+        usecols = sorted({0, len(header) - 1, *(k for k, _, _ in read)})
+        records = _loadtxt(path, header, types, usecols)
         if records is None:
-            ids, columns = _read_table_csv(path, ts)
+            ids, columns = _read_table_csv(path, ts, read)
         else:
-            ids, *arrays = (_frozen_field(records, k) for k in range(len(header)))
-            columns = dict(zip(header[1:], arrays))
+            ids = _frozen_field(records, 0)
+            columns = {c: _frozen_field(records, k) for k, c, _ in read}
         id_list = ids.tolist()
         known = set(id_list)
         if len(known) != len(id_list):
@@ -1031,8 +1068,10 @@ def load_database(data_dir: str, schema: Schema) -> Database:
     return Database(tables)
 
 
-def _read_table_csv(path: str, ts: TableSchema) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The csv path of `load_database`: the table's IDs and columns."""
+def _read_table_csv(path: str, ts: TableSchema, read: list[tuple[int, str, str]]
+                    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The csv path of `load_database`: the table's IDs and the columns
+    `read` ((field index, name, type) each)."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or header[0] != "ID":
@@ -1042,9 +1081,9 @@ def _read_table_csv(path: str, ts: TableSchema) -> tuple[np.ndarray, dict[str, n
             raise SchemaError(
                 f"{path}: columns {header[1:]} do not match schema {declared}"
             )
-        ids, *cells = _read_cells(reader, path, len(header))
-    columns = {c: _read_column(v, ty, ts.name, c) for (c, ty), v in zip(ts.columns, cells)}
-    return _frozen(ids, object, len(ids)), columns
+        cells = _read_cells(reader, path, len(header))
+    columns = {c: _read_column(cells[k], ty, ts.name, c) for k, c, ty in read}
+    return _frozen(cells[0], object, len(cells[0])), columns
 
 
 def _split_flags(path: str) -> tuple[list[str], list[str]] | None:
@@ -1101,7 +1140,7 @@ def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np
         bad = next(f for f in flags if f not in ("0", "1"))
         raise SchemaError(f"{path}: sensitive flag must be 0 or 1, got '{bad}'")
     if in_order:
-        return _frozen(map("1".__eq__, flags), bool, len(ids))
+        return _frozen_flags(flags)
     flag_of = dict(zip(listed, flags))
     if len(flag_of) != len(listed):
         counts = Counter(listed)
@@ -1111,7 +1150,7 @@ def _load_mask(data_dir: str, tname: str, ids: list[str], known: set[str]) -> np
     if len(flag_of) != len(known):
         missing = next(i for i in ids if i not in flag_of)
         raise SchemaError(f"{path}: no sensitive flag for ID '{missing}' of {tname}.csv")
-    return _frozen(map("1".__eq__, map(flag_of.__getitem__, ids)), bool, len(ids))
+    return _frozen_flags(map(flag_of.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1185,14 @@ class AnalysisContext:
     def sensitive(self, node: SqlExpr | Pred) -> bool:
         """True when a column under `node`, a part of `query`, is sensitive."""
         return any(self.refs[r.name].sensitive for r in _walk_refs(node))
+
+    def reads(self) -> dict[str, set[str]]:
+        """The `reads` argument of `load_database` for this query: each table
+        of its FROM clause, with the columns `refs` names in it."""
+        out: dict[str, set[str]] = {t: set() for t in self.aliases.values()}
+        for r in self.refs.values():
+            out[r.table].add(r.column)
+        return out
 
 
 def _resolve_colref(ref: ColRef, aliases: dict[str, str], schema: Schema) -> ResolvedRef:

@@ -170,6 +170,20 @@ def test_align_regrouping_needs_no_scaling():
     assert all(s == pytest.approx(1.0) for s in w.var_scale.values())
 
 
+@pytest.mark.parametrize("width", [2, 17, 256])
+def test_a_wide_norm_aligns_as_a_narrow_one(width):
+    # a flat l1 norm of `width` columns, c1 scaled 10: the query reads two
+    # of them, so the matcher's subset DP sees two children at every width
+    columns = "".join(f"col c{j} real\n" for j in range(width))
+    norm = "lp 1.0 c0 (scaled 10.0 c1) " + " ".join(f"c{j}" for j in range(2, width))
+    _, plan = _plan_for("select sum(t.c0 + t.c1) from t where t.c1 > 1;",
+                        f"table t\n{columns}norm {norm}\n", PlanParams(beta=0.1, alpha=1.0))
+    tp, = plan.table_plans
+    assert tp.witness.method == "elaborate"
+    assert tp.witness.var_scale == {"t.c0": 1.0, "t.c1": 5.0}
+    assert plan.beta_achieved == pytest.approx(0.22)
+
+
 def test_schema_normal_form_aligns_as_normalizing_per_query():
     # oracle: alignment as it was, qualifying and normalizing the declared
     # norm for every query and alias.  About 2% of the cases take the

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -256,6 +258,22 @@ def test_unseeded_privatize_is_not_deterministic(b1_1_inputs, capsys, monkeypatc
     assert json.loads(capsys.readouterr().out)["seed"] == 42
 
 
+def test_privatize_marks_a_release_with_a_given_seed_as_not_private(b1_1_inputs, capsys,
+                                                                    monkeypatch):
+    # a seed from --seed or DERSENS_SEED can be given again to recompute the
+    # noise; only a seed drawn from OS entropy makes a private release
+    monkeypatch.delenv("DERSENS_SEED", raising=False)
+    query, schema, data = b1_1_inputs
+    args = ["privatize", "--query", query, "--schema", schema, "--data", data, "--json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["private"] is True
+    assert main(args + ["--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["private"] is False
+    monkeypatch.setenv("DERSENS_SEED", "3")
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["private"] is False
+
+
 @pytest.mark.parametrize("command, env, flag", [
     ("privatize", None, ["--seed", "-1"]),
     ("privatize", "-5", []),
@@ -367,6 +385,40 @@ def test_count_of_an_unknown_column_exits_1(bench_data, tmp_path, capsys, column
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert "noised" not in out
+
+
+def _set_cell(path, row: int, column: str, value: str) -> None:
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    records[row][records[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(records)
+
+
+@pytest.mark.parametrize("defect", ["bad-cell", "missing-table"])
+def test_a_defect_only_in_data_the_query_does_not_read_leaves_run_at_exit_0(
+        bench_data, tmp_path, capsys, defect):
+    # load_database reads only the query's tables and columns: a defect
+    # elsewhere cannot move the output, and the same defect where the query
+    # reads it still exits 1
+    data = str(shutil.copytree(bench_data, tmp_path / "data"))
+    schema = os.path.join(data, "schema.txt")
+    b1_1 = ["run", "--query", os.path.join(data, "b1_1.sql"), "--schema", schema,
+            "--data", data, "--json"]
+    assert main(b1_1) == 0
+    clean = capsys.readouterr().out
+    if defect == "bad-cell":
+        _set_cell(os.path.join(data, "lineitem.csv"), 3, "l_tax", "abc")
+        reads, named = "select sum(lineitem.l_tax) from lineitem;", "lineitem.l_tax"
+    else:
+        os.remove(os.path.join(data, "part.csv"))
+        reads, named = "select count(*) from part;", "part.csv"
+    assert main(b1_1) == 0
+    assert capsys.readouterr().out == clean
+    query = _write(tmp_path / "q.sql", reads)
+    assert main(["run", "--query", query, "--schema", schema, "--data", data, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def test_a_column_that_cancels_has_sensitivity_0(bench_data, tmp_path, capsys):

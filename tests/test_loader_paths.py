@@ -121,10 +121,10 @@ def _csv_text(draw, header: list[str], rows: list[list[str]], eol: str, tricky: 
     return text
 
 
-def _outcome(data_dir: str, schema_text: str):
+def _outcome(data_dir: str, schema_text: str, reads):
     """('ok', {name: (dtype, writeable, values)}) or ('error', type, message)."""
     try:
-        td = load_database(data_dir, parse_schema(schema_text)).tables["t"]
+        td = load_database(data_dir, parse_schema(schema_text), reads).tables["t"]
     except Exception as exc:  # any error: the two paths must raise the same one
         return ("error", type(exc), str(exc))
     arrays = {f"column {c}": a for c, a in td.columns.items()}
@@ -140,15 +140,15 @@ def _bits(a: np.ndarray):
     return a.dtype, a.flags.writeable, a.flags.c_contiguous, values
 
 
-def _both_paths(schema_text: str, table: str, sens: str):
+def _both_paths(schema_text: str, table: str, sens: str, reads=None):
     with tempfile.TemporaryDirectory() as d:
         for name, text in (("t.csv", table), ("t_sensRows.csv", sens)):
             with open(os.path.join(d, name), "w", newline="") as fh:
                 fh.write(text)
-        fast = _outcome(d, schema_text)
+        fast = _outcome(d, schema_text, reads)
         with mock.patch.object(sf, "_loadtxt", lambda *args: None), \
                 mock.patch.object(sf, "_split_flags", lambda path: None):
-            reference = _outcome(d, schema_text)
+            reference = _outcome(d, schema_text, reads)
     return fast, reference
 
 
@@ -160,6 +160,53 @@ def test_c_reader_and_csv_module_load_the_same(data):
     assert fast == reference
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(datasets(), st.data())
+def test_pruned_reads_load_the_same_on_both_paths(data, draw):
+    # a random subset of the columns: np.loadtxt then reads fewer fields
+    # than a record has, and must still refuse every file the csv path does
+    schema_text = data[0]
+    names = [line.split()[1] for line in schema_text.splitlines() if line.startswith("col ")]
+    reads = {"t": draw.draw(st.lists(st.sampled_from(names), unique=True))}
+    fast, reference = _both_paths(*data, reads)
+    assert fast == reference
+    if fast[0] == "ok":
+        assert [k for k in fast[1] if k.startswith("column ")] == \
+            [f"column {c}" for c in names if c in reads["t"]]
+
+
+@pytest.mark.parametrize("table, reads", [
+    ("ID,c0\n1,0\n2,0,0\n", None),
+    ("ID,c0,c1\n1,0,0\n2,0,0,0\n", {"t": ["c0"]}),
+    ("ID,c0,c1\n1,0,0,0\n2,0\n", {"t": []}),
+    ("ID,c0,c1\n1,0\n2,0,0,0\n", {"t": ["c0"]}),
+], ids=["every-field", "first-field", "ids-only", "short-then-long"])
+def test_the_usecols_width_hole_stays_closed(table, reads):
+    # given usecols, np.loadtxt reads a record with an extra field as if it
+    # had none; the csv path refuses it
+    columns = table.partition("\n")[0].split(",")[1:]
+    schema_text = "table t\n" + "".join(f"col {c} int\n" for c in columns)
+    fast, reference = _both_paths(schema_text, table, "ID,sensitive\n1,0\n2,1\n", reads)
+    assert fast == reference and fast[0] == "error"
+    assert "row width mismatch" in fast[2]
+
+
+def test_unread_tables_and_cells_are_not_checked(tmp_path):
+    # a bad cell in an unread column and a missing file of an unread table
+    # raise no error; the same cell in a column that is read does
+    (tmp_path / "t.csv").write_text("ID,a,b\n1,1.5,abc\n2,2.5,3\n")
+    (tmp_path / "t_sensRows.csv").write_text("ID,sensitive\n1,1\n2,0\n")
+    schema = parse_schema("table t\ncol a real\ncol b real\ntable u\ncol c real\n")
+    db = load_database(str(tmp_path), schema, {"t": {"a"}})
+    assert list(db.tables) == ["t"] and list(db.tables["t"].columns) == ["a"]
+    assert db.tables["t"].columns["a"].tolist() == [1.5, 2.5]
+    with pytest.raises(sf.SchemaError, match="t.b: cannot read 'abc' as real"):
+        load_database(str(tmp_path), schema, {"t": {"b"}})
+    with pytest.raises(sf.SchemaError, match="missing data file .*u.csv"):
+        load_database(str(tmp_path), schema, {"t": {"a"}, "u": set()})
+
+
 # ---------------------------------------------------------------------------
 # which files take which path
 # ---------------------------------------------------------------------------
@@ -169,10 +216,10 @@ _HEADER = ["ID", "i", "r", "d", "s"]
 _TYPES = ["text", "int", "real", "date-months", "text"]
 
 
-def _loadtxt_of(tmp_path, text: str):
+def _loadtxt_of(tmp_path, text: str, usecols=(0, 1, 2, 3, 4)):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode())
-    return sf._loadtxt(str(path), _HEADER, _TYPES)
+    return sf._loadtxt(str(path), _HEADER, _TYPES, list(usecols))
 
 
 def test_plain_files_take_the_c_reader(tmp_path):
@@ -196,9 +243,27 @@ def test_plain_files_take_the_c_reader(tmp_path):
     f"ID,i,r,d,s\n1,{2**63},1.5,2,x\n",       # an int beyond int64
     "ID,i,r,d,s\n1,7,,2,x\n",                 # an empty cell
     "ID,i,r,d,s\n1,7,1.5,2\n",                # a short record
+    "ID,i,r,d,s\n1,7,1.5,2,x,y\n",            # a long record
 ])
 def test_files_the_c_reader_cannot_take_go_to_the_csv_module(tmp_path, text):
     assert _loadtxt_of(tmp_path, text) is None
+
+
+@pytest.mark.parametrize("text", [
+    "ID,i,r,d,s\n1,7,1.5,2\n",                # a short record
+    "ID,i,r,d,s\n1,7,1.5,2,x,y\n",            # a long record
+    "ID,i,r,d,s\n1,7,1.5,2,x,y\n2,7,1.5,2\n",  # one of each: the comma count adds up
+    "ID,i,r,d,s\n1,7,1.5\n2,7,1.5,2,x,y,z\n",
+])
+def test_pruned_reads_of_records_of_the_wrong_width_go_to_the_csv_module(tmp_path, text):
+    assert _loadtxt_of(tmp_path, text, (0, 2, 4)) is None
+
+
+def test_pruned_reads_skip_the_cells_of_unread_fields(tmp_path):
+    # `1.0` in the int field and an ISO date would each send a full read to
+    # the csv path; neither field is read here
+    records = _loadtxt_of(tmp_path, "ID,i,r,d,s\n1,1.0,1.5,1980-02-01,x\n", (0, 2, 4))
+    assert records is not None and records.dtype.names == ("f0", "f2", "f4")
 
 
 def test_lines_longer_than_the_csv_field_limit_go_to_the_csv_module(tmp_path):

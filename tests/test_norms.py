@@ -358,6 +358,18 @@ def test_elaborate_weakly_dominates_straightforward():
             assert wel.effective(v) >= wsf.effective(v) * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("pads", [1, 12, 20])
+def test_database_children_the_query_does_not_read_leave_the_witness(pads):
+    # a child that holds no query variable matches no slot; the matcher
+    # drops such children, so padding a norm with them, even past the 16
+    # children the subset DP takes, changes no witness
+    for nq, ndb in _witness_suite(0) + _witness_suite(3):
+        if not isinstance(ndb, Combine):
+            continue
+        padded = Combine(ndb.p, ndb.children + tuple(Var(f"pad{k}") for k in range(pads)))
+        assert scale_elaborate(nq, padded) == scale_elaborate(nq, ndb), (print_norm(nq), print_norm(ndb))
+
+
 def test_min_weight_injection_deterministic_ties():
     # two equal-weight matchings: lexicographically smallest column wins
     w = [[1.0, 1.0], [1.0, 1.0]]

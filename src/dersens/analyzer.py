@@ -463,65 +463,83 @@ def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> Sensit
 # ---------------------------------------------------------------------------
 
 
-def render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]] | None = None) -> str:
+class _Memo(dict):
+    """`render`'s memo: id(node) -> entry [node, text, requests, scope], and
+    what `_share` reads of the SELECT being rendered, number `scope`.  An
+    entry counts the render calls of its node in `scope`, the SELECT that
+    last requested it."""
+
+    def __init__(self):
+        super().__init__()
+        self.scope = 0
+        # the scope's row values, which the outer text may only read through
+        # a column: the column references and public values it rendered, and
+        # the text of each entry of an earlier scope it requested, which it
+        # did not render and so counts as a whole
+        self.values: list[str] = []
+        self.twice: list[str] = []  # the long texts it requested more than once
+
+
+_SHARED_MIN = 8  # shorter texts never pay for a column of their own
+
+
+def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
     """PostgreSQL-compatible rendering (exp, abs, greatest, ^, case-when).
 
-    `memo` maps id(node) to (node, text) for the nodes already rendered, so a
-    subtree shared by several terms is rendered once; holding the node keeps
-    its id from being reused while the memo lives.  Pass one memo to the
-    render calls of one statement."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(e))
-    if hit is None:
-        hit = memo[id(e)] = (e, _render(e, memo))
-    return hit[1]
-
-
-def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
-    if isinstance(e, Const):
+    `memo` holds the nodes already rendered, so a subtree shared by several
+    terms is rendered once; it keeps each node alive, so that its id is not
+    reused while the memo lives.  Pass one memo to the render calls of one
+    statement."""
+    if type(e) is Const:
         return _fmt_num(e.value)
-    if isinstance(e, Col):
-        return e.name
-    if isinstance(e, Opaque):
-        return e.sql
-    if isinstance(e, Sum):
-        out = render(e.children[0], memo)
-        for c in e.children[1:]:
-            if isinstance(c, Const) and c.value < 0:
-                out = f"({out} - {_fmt_num(-c.value)})"
-            else:
-                out = f"({out} + {render(c, memo)})"
-        return out
+    if memo is None:
+        memo = _Memo()
+    entry = memo.get(id(e))
+    if entry is None:
+        text = _render(e, memo)
+        memo[id(e)] = [e, text, 1, memo.scope]
+        if type(e) is Col or type(e) is Opaque:
+            memo.values.append(text)
+        return text
+    if entry[3] != memo.scope:
+        entry[2], entry[3] = 1, memo.scope
+        memo.values.append(entry[1])
+    else:
+        entry[2] += 1
+        if entry[2] == 2 and len(entry[1]) >= _SHARED_MIN:
+            memo.twice.append(entry[1])
+    return entry[1]
+
+
+class _Decay:
+    """exp(-|alpha c|) of a SigmoidDeriv or Tauoid `of`, in (0, 1] as in
+    exprs._tauoid: a node of its own, which their text requests at each of
+    its two uses, so that `_share` can name it."""
+
+    __slots__ = ("of",)
+
+    def __init__(self, of: SigmoidDeriv | Tauoid):
+        self.of = of
+
+
+def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
+    # the node types in about the order of how often a statement holds them
     if isinstance(e, Prod):
         out = render(e.children[0], memo)
         for c in e.children[1:]:
             out = f"({out} * {render(c, memo)})"
         return out
-    if isinstance(e, Div):
-        return f"({render(e.num, memo)} / {render(e.den, memo)})"
-    if isinstance(e, Power):
-        return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
-    if isinstance(e, Exp):
-        return f"exp({render(mul(Const(e.rate), e.child), memo)})"
-    if isinstance(e, Ln):
-        return f"ln({render(e.child, memo)})"
-    # The sigmoid and tauoid forms keep every exp() argument at most 709, so
-    # none overflows in any SQL engine (exp(709) is below the largest double).
-    if isinstance(e, Sigmoid):
-        un = render(mul(Const(-e.alpha), e.child), memo)
-        return f"(1.0 / (exp(least({un}, 709.0)) + 1.0))"
-    if isinstance(e, SigmoidDeriv):
-        z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
-        return f"(({_fmt_num(e.alpha)} * {z}) / (({z} + 1.0) ^ 2.0))"
-    if isinstance(e, Tauoid):
-        # z = exp(-|u|) in (0, 1], as in exprs._tauoid
-        z = f"exp(-abs({render(mul(Const(e.alpha), e.child), memo)}))"
-        return f"((2.0 * {z}) / (1.0 + ({z} ^ 2.0)))"
-    if isinstance(e, Min):
-        return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
-    if isinstance(e, Max):
-        return "greatest(" + ", ".join(render(c, memo) for c in e.children) + ")"
+    if isinstance(e, Sum):
+        out = render(e.children[0], memo)
+        for c in e.children[1:]:
+            if isinstance(c, Const) and c.value < 0:
+                out = f"({out} - {_fmt_num(-c.value)})"
+            elif _is_negation(c):
+                # (-1.0) * b is exactly -b, so a + (-1.0) * b is exactly a - b
+                out = f"({out} - {render(c.children[1], memo)})"
+            else:
+                out = f"({out} + {render(c, memo)})"
+        return out
     if isinstance(e, LpNorm):
         if len(e.children) == 1:
             return f"abs({render(e.children[0], memo)})"
@@ -537,12 +555,168 @@ def _render(e: ScalarExpr, memo: dict[int, tuple[ScalarExpr, str]]) -> str:
         for t in terms[1:]:
             out = f"({out} + {t})"
         return f"({out} ^ {_fmt_num(1.0 / e.p)})"
+    if isinstance(e, Col):
+        return e.name
+    if isinstance(e, Exp):
+        return f"exp({_scaled(e.rate, e.child, memo)})"
+    if isinstance(e, Max):
+        return "greatest(" + ", ".join(render(c, memo) for c in e.children) + ")"
+    # The sigmoid and tauoid forms keep every exp() argument at most 709, so
+    # none overflows in any SQL engine (exp(709) is below the largest double).
+    if isinstance(e, (SigmoidDeriv, Tauoid)):
+        z = _Decay(e)
+        z1, z2 = render(z, memo), render(z, memo)
+        if isinstance(e, Tauoid):
+            return f"((2.0 * {z1}) / (1.0 + ({z2} ^ 2.0)))"
+        return f"(({_fmt_num(e.alpha)} * {z1}) / (({z2} + 1.0) ^ 2.0))"
+    if isinstance(e, _Decay):
+        return f"exp(-abs({_scaled(e.of.alpha, e.of.child, memo)}))"
+    if isinstance(e, Sigmoid):
+        return f"(1.0 / (exp(least({_scaled(-e.alpha, e.child, memo)}, 709.0)) + 1.0))"
     if isinstance(e, IfGE):
         return (
             f"case when ({render(e.test, memo)} >= {render(e.threshold, memo)}) "
             f"then {render(e.if_true, memo)} else {render(e.if_false, memo)} end"
         )
+    if isinstance(e, Div):
+        return f"({render(e.num, memo)} / {render(e.den, memo)})"
+    if isinstance(e, Min):
+        return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
+    if isinstance(e, Opaque):
+        return e.sql
+    if isinstance(e, Power):
+        return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
+    if isinstance(e, Ln):
+        return f"ln({render(e.child, memo)})"
+    if isinstance(e, Const):
+        return _fmt_num(e.value)
     raise TypeError(f"cannot render {type(e).__name__}")
+
+
+def _scaled(k: float, e: ScalarExpr, memo: _Memo) -> str:
+    """The text of mul(Const(k), e), without building the product."""
+    if isinstance(e, Const):
+        return _fmt_num(k * e.value)
+    if k == 1.0:
+        return render(e, memo)
+    if k == 0.0:
+        return _fmt_num(0.0)
+    return f"({_fmt_num(k)} * {render(e, memo)})"
+
+
+def _is_negation(e: ScalarExpr) -> bool:
+    """e is (-1.0) * b, the form `sub` gives a - b."""
+    return (
+        isinstance(e, Prod) and len(e.children) == 2
+        and isinstance(e.children[0], Const) and e.children[0].value == -1.0
+    )
+
+
+def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[str, str]]] | None:
+    """One level of sharing for the SELECT of `memo.scope`, whose aggregate
+    prints `outer`: (that text with columns of an inner select put in, the
+    columns as (name, text)), or None when no node is worth a column.
+
+    Only a node the scope requested more than once can be printed more
+    often than the node that holds it.  Those and the scope's row values
+    are put in longest first, so that a text is gone before any shorter
+    text it holds is looked for.  A node printed n >= 2 times becomes a
+    column tK when its n copies are longer than the column and n reads of
+    it; a row value still printed becomes a column cK, so that the outer
+    text reads every row value through a column.  A column reference holds
+    no other text, so those come last, when the outer text is short."""
+    if not memo.twice:
+        return None
+    twice, values = set(memo.twice), set(memo.values)
+    skip = len(names.rows) + 1  # "r." before a column's name
+    kt = kc = 0
+    columns: list[tuple[str, str]] = []
+    refs: list[str] = []  # the column references among the values
+    # sorted is stable: texts of one length keep the order they were rendered in
+    for text in sorted(dict.fromkeys(memo.twice + memo.values), key=len, reverse=True):
+        if "(" not in text and " " not in text:
+            refs.append(text)
+            continue
+        if len(text) > len(outer):
+            continue
+        if text in twice:
+            parts = outer.split(text)
+            n = len(parts) - 1
+            if n > 1:
+                ref = names.ref("t", kt)
+                # a column costs its text, " AS ", its name and ", ", and
+                # each read its reference
+                if (n - 1) * len(text) > len(ref) - skip + 6 + n * len(ref):
+                    outer = ref.join(parts)
+                    columns.append((ref[skip:], text))
+                    kt += 1
+                    continue
+        if text in values:
+            ref = names.ref("c", kc)
+            put = outer.replace(text, ref)
+            if put is not outer:
+                outer = put
+                columns.append((ref[skip:], text))
+                kc += 1
+    if not kt:
+        return None
+    for text in refs:
+        ref = names.ref("c", kc)
+        put = outer.replace(text, ref)
+        if put is not outer:
+            outer = put
+            columns.append((ref[skip:], text))
+            kc += 1
+    return outer, columns
+
+
+class _Names:
+    """The names a statement adds: the derived tables, the sensitivity
+    column, the group key and the columns tK and cK, none equal (in any
+    case) to a table or alias of the query or a column of its tables."""
+
+    def __init__(self, ctx: AnalysisContext):
+        self._taken = (
+            {a.lower() for a in ctx.aliases},
+            *(ctx.schema.table(t).lower_names for t in set(ctx.aliases.values())),
+        )
+        self.sub, self.sdsg = self._fresh("sub"), self._fresh("sdsg")
+        self._rows: tuple[str, str] | None = None
+        self._refs: dict[str, list[str]] = {"t": [], "c": []}
+        self._next = {"t": 0, "c": 0}
+
+    def _free(self, name: str) -> bool:
+        return not any(name in names for names in self._taken)
+
+    def _fresh(self, base: str) -> str:
+        name, k = base, 0
+        while not self._free(name):
+            k += 1
+            name = f"{base}{k}"
+        return name
+
+    @property
+    def rows(self) -> str:
+        """The inner select's alias."""
+        if self._rows is None:
+            self._rows = self._fresh("r"), self._fresh("g")
+        return self._rows[0]
+
+    @property
+    def group(self) -> str:
+        """The inner select's column for the sensitive row a row belongs to."""
+        self.rows
+        return self._rows[1]
+
+    def ref(self, prefix: str, k: int) -> str:
+        """The reference r.prefixJ to the k-th free name prefixJ."""
+        refs = self._refs[prefix]
+        while len(refs) <= k:
+            name = f"{prefix}{self._next[prefix]}"
+            self._next[prefix] += 1
+            if self._free(name):
+                refs.append(f"{self.rows}.{name}")
+        return refs[k]
 
 
 def _public_conjuncts(ctx: AnalysisContext) -> list[str]:
@@ -556,30 +730,36 @@ def _public_subquery(ctx: AnalysisContext, select: str) -> str:
     return f"(SELECT {select} FROM {sf._print_tables(ctx.query.tables)}{tail})"
 
 
+# how the modified statement aggregates the row values; MIN and MAX as named
+_AGGREGATE_SQL = {"COUNT": ("sum(", ")"), "SUM": ("sum(", ")"), "PRODUCT": ("exp(sum(ln(", ")))")}
+
+
 def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
-    """Render the modified query and the sensitivity query as SQL text."""
+    """Render the modified query and the sensitivity query as SQL text.
+
+    In each SELECT that aggregates rows, a node printed more than once is
+    computed once, as a column of an inner `SELECT ... FROM <tables> WHERE
+    <public filter>` that the aggregate reads as `r.tK` (see `_share`), when
+    that makes the SELECT shorter."""
     ctx = plan.ctx
     froms = sf._print_tables(ctx.query.tables)
     pubs = _public_conjuncts(ctx)
     where = f" WHERE {' AND '.join(pubs)}" if pubs else ""
-    memo: dict[int, tuple[ScalarExpr, str]] = {}  # shared by every render call
+    memo = _Memo()  # shared by every render call
+    names = _Names(ctx)
 
     agg = plan.aggregator
-    body = render(plan.row_expr, memo)
     if agg == "COUNT" and plan.sigma is None:
         modified = f"SELECT count(*) FROM {froms}{where};"
-    elif agg in ("COUNT", "SUM"):
-        modified = f"SELECT sum({body}) FROM {froms}{where};"
-    elif agg == "PRODUCT":
-        modified = f"SELECT exp(sum(ln({body}))) FROM {froms}{where};"
     else:
-        modified = f"SELECT {agg.lower()}({body}) FROM {froms}{where};"
+        head, tail = _AGGREGATE_SQL.get(agg, (f"{agg.lower()}(", ")"))
+        modified = _rows_select(memo, names, plan.row_expr, head, tail, f" FROM {froms}{where}") + ";"
 
     live = [tp for tp in plan.table_plans if tp.combined != ex.ZERO]
     if not live and plan.table_plans:
         # keep the group structure with a constant zero per row
         live = plan.table_plans[:1]
-    parts = [_emit_table_sensitivity(froms, pubs, tp, memo) for tp in live]
+    parts = [_emit_table_sensitivity(froms, pubs, tp, memo, names) for tp in live]
     q = ex.dual_exponent(ctx.schema.database_p)
     if not parts:
         sensitivity = "SELECT 0.0;"
@@ -596,23 +776,51 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     return modified, sensitivity
 
 
+def _rows_select(
+    memo: _Memo, names: _Names, e: ScalarExpr, head: str, tail: str, source: str,
+    group: str | None = None,
+) -> str:
+    """`SELECT head e tail source [GROUP BY group]`, or the same with the
+    row values read from an inner select over `source`, whichever is
+    shorter; the inner select carries the group key too."""
+    memo.scope += 1
+    memo.values, memo.twice = [], []
+    body = render(e, memo)
+    flat = f"SELECT {head}{body}{tail}{source}"
+    if group is not None:
+        flat += f" GROUP BY {group}"
+    shared = _share(memo, body, names)
+    if shared is None:
+        return flat
+    outer, columns = shared
+    items = ", ".join(f"{text} AS {name}" for name, text in columns)
+    rows = names.rows
+    grouped = ""
+    if group is not None:
+        items += f", {group} AS {names.group}"
+        grouped = f" GROUP BY {rows}.{names.group}"
+    nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}{source}) AS {rows}{grouped}"
+    return nested if len(nested) < len(flat) else flat
+
+
 def _emit_table_sensitivity(
-    froms: str, pubs: list[str], tp: TableSensPlan, memo: dict[int, tuple[ScalarExpr, str]]
+    froms: str, pubs: list[str], tp: TableSensPlan, memo: _Memo, names: _Names
 ) -> str:
     sens_table = f"{tp.table}_sensRows"
     join = f"{sens_table}.ID = {tp.alias}.ID"
     inner_cond = " AND ".join(pubs + [join])
-    where = f"({inner_cond}) AND {sens_table}.sensitive"
-    inner = (
-        f"SELECT {tp.group_agg}(abs({render(tp.combined, memo)})) AS sdsg "
-        f"FROM {froms}, {sens_table} WHERE {where} GROUP BY {sens_table}.ID"
+    source = f" FROM {froms}, {sens_table} WHERE ({inner_cond}) AND {sens_table}.sensitive"
+    sdsg = names.sdsg
+    inner = _rows_select(
+        memo, names, tp.combined, f"{tp.group_agg}(abs(", f")) AS {sdsg}", source,
+        group=f"{sens_table}.ID",
     )
     q = ex.dual_exponent(tp.rows_p)
     if q == INF:
-        outer_agg = "max(sdsg)"
+        outer_agg = f"max({sdsg})"
     elif q == 1.0:
-        outer_agg = "sum(sdsg)"
+        outer_agg = f"sum({sdsg})"
     else:
         # the lq norm across groups, q dual to the row combiner
-        outer_agg = f"(sum((sdsg ^ {_fmt_num(q)})) ^ {_fmt_num(1.0 / q)})"
-    return f"SELECT {outer_agg} FROM ({inner}) AS sub"
+        outer_agg = f"(sum(({sdsg} ^ {_fmt_num(q)})) ^ {_fmt_num(1.0 / q)})"
+    return f"SELECT {outer_agg} FROM ({inner}) AS {names.sub}"

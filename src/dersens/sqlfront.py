@@ -174,9 +174,11 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class EmittedSelect:
-    """Loose shape for re-reading emitted SQL: a select expression that may
-    contain aggregate calls, over base tables or one subquery, with optional
-    grouping.  count(*) parses as FuncCall('count', ())."""
+    """Loose shape for re-reading emitted SQL: a select list whose items may
+    contain aggregate calls, over base tables or one subquery (a derived
+    table), with optional grouping.  `select` and `out_name` are the first
+    item and its name, `rest` the other items as (expression, name).
+    count(*) parses as FuncCall('count', ())."""
 
     select: SqlExpr
     out_name: str
@@ -185,6 +187,7 @@ class EmittedSelect:
     sub_alias: str
     where: Pred
     group_by: ColRef | None
+    rest: tuple[tuple[SqlExpr, str], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +329,10 @@ class _Parser:
 
     def parse_emitted(self, *, toplevel: bool = True) -> EmittedSelect:
         self._expect("select")
-        select = self._expr()
-        out_name = ""
-        if self._eat("as"):
-            out_name = self._next().text
+        items = [self._select_item()]
+        while self._eat(","):
+            items.append(self._select_item())
+        (select, out_name), rest = items[0], tuple(items[1:])
         sub: EmittedSelect | None = None
         sub_alias = ""
         tables: tuple[tuple[str, str], ...] = ()
@@ -359,7 +362,11 @@ class _Parser:
             t = self._peek()
             if t is not None:
                 raise ParseError("trailing input after query", t.pos, t.text)
-        return EmittedSelect(select, out_name, tables, sub, sub_alias, where, group_by)
+        return EmittedSelect(select, out_name, tables, sub, sub_alias, where, group_by, rest)
+
+    def _select_item(self) -> tuple[SqlExpr, str]:
+        e = self._expr()
+        return e, self._next().text if self._eat("as") else ""
 
     # -- pieces ---------------------------------------------------------------
 
@@ -666,9 +673,10 @@ def print_query(q: QuerySpec) -> str:
 
 
 def _print_emitted(q: EmittedSelect) -> str:
-    out = f"SELECT {print_expr(q.select)}"
-    if q.out_name:
-        out += f" AS {q.out_name}"
+    items = [(q.select, q.out_name), *q.rest]
+    out = "SELECT " + ", ".join(
+        f"{print_expr(e)} AS {name}" if name else print_expr(e) for e, name in items
+    )
     if q.sub is not None:
         out += f" FROM ({_print_emitted(q.sub)}) AS {q.sub_alias or 'sub'}"
     elif q.tables:
@@ -693,9 +701,12 @@ class TableSchema:
     norm: NormExpr | None = None
     precisions: dict[str, float] = field(default_factory=dict)
     # Derived from the fields above by `derive`: the type of each column, the
-    # columns the norm makes sensitive, and the norm over `alias.column`
-    # variables in normal form, which the analyzer fills in once per alias.
+    # columns the norm makes sensitive, the names a statement over the table
+    # can read (lower case, as SQL compares them), and the norm over
+    # `alias.column` variables in normal form, which the analyzer fills in
+    # once per alias.
     types: dict[str, str] = field(init=False, repr=False, compare=False)
+    lower_names: frozenset[str] = field(init=False, repr=False, compare=False)
     sensitive_columns: frozenset[str] = field(init=False, repr=False, compare=False)
     normal_norms: dict[str, NormExpr] = field(init=False, repr=False, compare=False)
 
@@ -706,6 +717,9 @@ class TableSchema:
         """Recompute the derived facts; parse_schema calls this on every
         table when it finishes, so they follow a norm a norm file replaces."""
         self.types = dict(self.columns)
+        self.lower_names = frozenset(
+            n.lower() for n in (self.name, f"{self.name}_sensRows", "ID", "sensitive", *self.types)
+        )
         self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
         self.normal_norms = {}
 

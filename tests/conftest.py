@@ -290,6 +290,7 @@ def canon_emitted(es: EmittedSelect):
     return (
         "select",
         canon_expr(es.select),
+        tuple((canon_expr(e), name.lower()) for e, name in es.rest),
         tuple(sorted(es.tables)),
         canon_emitted(es.sub) if es.sub is not None else None,
         canon_pred(es.where),

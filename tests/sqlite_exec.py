@@ -1,11 +1,13 @@
 """Emitted SQL run on sqlite3, the executor the tests check emitted
 statements on: `strict_sqlite` loads a Database into an in-memory sqlite3
-and `sqlite_value` runs one emitted statement on it."""
+and `sqlite_value` runs one emitted statement on it.  `inline_row_columns`
+undoes the inner selects through which a statement reads shared nodes."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sqlite3
 
 from dersens import sqlfront as sf
@@ -58,3 +60,91 @@ def sqlite_value(con: sqlite3.Connection, sql: str) -> float | None:
     stmt = sf.print_expr(sf.SubQuery(sqlite_dialect(sf.parse_emitted(sql))))[1:-1]
     ((value,),) = con.execute(stmt).fetchall()
     return value
+
+
+def _close(sql: str, i: int) -> int:
+    """The index of the ")" that closes the "(" at i; string literals skipped."""
+    depth = 0
+    while True:
+        ch = sql[i]
+        if ch == "'":
+            i = sql.index("'", i + 1)
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+        i += 1
+
+
+def _split_items(sql: str) -> tuple[list[tuple[str, str]], str]:
+    """`item AS name, ... FROM source` as ([(item, name), ...], source)."""
+    items, depth, start, i = [], 0, 0, 0
+    while True:
+        ch = sql[i]
+        if ch == "'":
+            i = sql.index("'", i + 1)
+        elif ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif depth == 0 and (sql.startswith(", ", i) or sql.startswith(" FROM ", i)):
+            text, name = sql[start:i].rsplit(" AS ", 1)
+            items.append((text, name))
+            if sql.startswith(" FROM ", i):
+                return items, sql[i + len(" FROM "):]
+            start = i + 2
+        i += 1
+
+
+def row_columns(sql: str) -> list[tuple[str, str, list[tuple[str, str]], str]]:
+    """The inner selects of row columns in an emitted statement, innermost
+    last: (the enclosing select's text, the derived table's alias, its
+    columns as (text, name), its source after FROM).  A derived table is
+    one when the select around it reads its columns as alias.name."""
+    found = []
+    for m in re.finditer(r"\(SELECT ", sql):
+        end = _close(sql, m.start())
+        alias = re.match(r" AS (\w+)", sql[end + 1:])
+        if alias is None:
+            continue
+        # the select around the derived table: its own parentheses, if any
+        depth, i = 0, m.start() - 1
+        while i >= 0 and not (sql[i] == "(" and depth == 0):
+            depth += {")": 1, "(": -1}.get(sql[i], 0)
+            i -= 1
+        around = sql[i + 1:_close(sql, i)] if i >= 0 else sql
+        if re.search(rf"\b{alias[1]}\.\w", around.replace(sql[m.start():end + 1], "")):
+            items, source = _split_items(sql[m.end():end])
+            found.append((around, alias[1], items, source))
+    return found
+
+
+def inline_row_columns(sql: str) -> str:
+    """An emitted statement with each inner select of row columns undone:
+    every alias.name read put back as the column's text, and the derived
+    table as its source, so that it prints each shared node in full."""
+    while True:
+        found = row_columns(sql)
+        if not found:
+            return sql
+        around, alias, items, source = found[0]
+        body = around.replace(f"(SELECT {', '.join(f'{t} AS {n}' for t, n in items)} FROM {source}) AS {alias}",
+                              source, 1)
+        by_name = dict((n, t) for t, n in items)
+        body = re.sub(rf"\b{alias}\.(\w+)\b", lambda m: by_name[m[1]], body)
+        sql = sql.replace(around, body, 1)
+
+
+def assert_reads_row_columns(named: str, flat: str) -> None:
+    """`named`, a statement as emitted, is `flat` (the same with no node
+    named) with inner selects of row columns: undoing them gives `flat`
+    byte for byte, `named` is shorter whenever they differ, and each shared
+    column tK is read at least twice by the select around it."""
+    assert inline_row_columns(named) == flat
+    assert named == flat or len(named) < len(flat)
+    for around, alias, items, _ in row_columns(named):
+        # the select around the derived table, without it
+        reads = around[:around.index("(SELECT ")] + around[around.rindex(f") AS {alias}"):]
+        for _, name in items:
+            if re.fullmatch(r"t\d+", name):
+                assert len(re.findall(rf"\b{alias}\.{name}\b", reads)) >= 2, (name, named)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from conftest import (
     write_table,
 )
 from ds_oracles import finite_diff_ds
-from sqlite_exec import sqlite_value, strict_sqlite
+from sqlite_exec import assert_reads_row_columns, row_columns, sqlite_value, strict_sqlite
 from test_norms import _random_norm
 from dersens import analyzer as an
 from dersens import engine as eng
@@ -414,6 +415,147 @@ def test_golden_shapes():
     assert all(tp.combined != ex.ZERO for tp in plans["join3_sensitive"].table_plans)
     tp, = plans["multi_block_norm"].table_plans
     assert tp.witness.method == "elaborate" and len(tp.witness.var_scale) == 3
+
+
+# ---------------------------------------------------------------------------
+# shared nodes as columns of an inner select
+# ---------------------------------------------------------------------------
+
+_TEXTS = ["R", "F", "N", "O", "A", "x", "Brand#14", "Brand#34", "Brand#13", "SM BOX", "LG CASE",
+          "LARGE ANODIZED TIN", "MEDIUM POLISHED STEEL", "Customer said Complaints", "north",
+          "south", "1-URGENT", "2-HIGH"]
+
+
+def _random_database(schema, path, seed):
+    """Nine rows in each table of `schema`: numbers over the ranges the
+    queries filter on, text from the literals they compare with."""
+    rng = random.Random(seed)
+    for name, ts in schema.tables.items():
+        cols = [c for c, _ in ts.columns]
+        rows = [[rng.choice(_TEXTS) if ty == "text" else
+                 rng.randint(0, 9) if ty == "int" else round(rng.uniform(-20.0, 400.0), 1)
+                 for _, ty in ts.columns] for _ in range(9)]
+        write_table(str(path), name, cols, rows, [rng.random() < 0.7 for _ in rows])
+    return load_database(str(path), schema)
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, which holds the benchmark's 16 analyze_mix queries."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _flat_and_named(plan, monkeypatch):
+    named = emit_sql(plan)
+    with monkeypatch.context() as m:
+        m.setattr(an, "_share", lambda *args: None)
+        return emit_sql(plan), named
+
+
+def _sqlite_outcome(con, stmt):
+    try:
+        return sqlite_value(con, stmt), None
+    except Exception as exc:  # an overflow in exp, pow or ln raises, as in PostgreSQL
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_statements_read_shared_nodes_as_columns(name, tmp_path, monkeypatch):
+    schema_text, sql, params = GOLDEN_CASES[name]
+    _, plan = _plan_for(sql, schema_text, params)
+    db = _random_database(parse_schema(schema_text), tmp_path, seed=len(name))
+    con = strict_sqlite(db)
+    for flat, named in zip(*_flat_and_named(plan, monkeypatch)):
+        assert_reads_row_columns(named, flat)
+        assert _sqlite_outcome(con, named) == _sqlite_outcome(con, flat)
+
+
+def test_benchmark_mix_reads_shared_nodes_as_columns(tmp_path, monkeypatch):
+    inputs = _benchmark_inputs()
+    tables, masks = inputs.mix_inputs()
+    inputs.write_dataset(str(tmp_path), tables, masks)
+    schema = parse_schema(inputs.schema_text(list(inputs.TABLE_TEXT)))
+    con = strict_sqlite(load_database(str(tmp_path), schema))
+    flat_bytes = named_bytes = 0
+    for name, alpha, flags, sql in inputs.MIX:
+        plan = build_plan(validate(parse_query(sql), schema),
+                          PlanParams(beta=inputs.BETA, alpha=alpha, **flags))
+        for flat, named in zip(*_flat_and_named(plan, monkeypatch)):
+            assert_reads_row_columns(named, flat)
+            assert _sqlite_outcome(con, named) == _sqlite_outcome(con, flat), name
+            flat_bytes, named_bytes = flat_bytes + len(flat), named_bytes + len(named)
+    # the flat statements already print a + (-1.0) * b as (a - b)
+    assert named_bytes < 0.9 * flat_bytes
+
+
+CLASH_SCHEMA = """table lineitem
+col l_quantity real
+col r real
+col t0 int
+col c0 real
+col g real
+col sdsg real
+col l_shipdateG date-months
+rows lp 1.0
+norm lp 1.0 l_quantity (scaled 30.0 l_shipdateG)
+table sub
+col s_x real
+col s_key int
+col T1 real
+rows lp 1.0
+norm lp 1.0 s_x
+"""
+
+
+@pytest.mark.parametrize("sql", [
+    # the query's own alias r, and columns named r, t0, c0, g and sdsg
+    "select sum(r.l_quantity * r.l_quantity) from lineitem r where r.l_shipdateG < 200.5 "
+    "and r.t0 > 1 and r.c0 > 1 and r.g > 1 and r.sdsg > 1",
+    # a join of two sensitive tables, one of them named sub, with a column T1
+    "select sum(lineitem.l_quantity * sub.s_x) from lineitem, sub "
+    "where lineitem.t0 = sub.s_key and sub.T1 > 0 and lineitem.l_shipdateG < 200.5 and sub.s_x > 2.5",
+    # product_prodbound's scalar subquery, under an alias sub
+    "select product(1.0 + 0.01 * sub.l_quantity) from lineitem sub "
+    "where sub.l_shipdateG < 150.5 and sub.r > 0",
+])
+def test_the_names_a_statement_adds_are_none_of_the_querys(sql, tmp_path):
+    schema = parse_schema(CLASH_SCHEMA)
+    ctx = validate(parse_query(sql), schema)
+    plan = build_plan(ctx, PlanParams(beta=0.1, alpha=1.0))
+    statements = emit_sql(plan)
+    assert any(row_columns(stmt) for stmt in statements)
+    query_names = {n.lower() for alias, table in ctx.aliases.items()
+                   for n in (alias, table, *schema.table(table).types)}
+
+    def added(es):
+        """The derived-table aliases and select-item names of a parsed statement."""
+        names = {es.out_name, *(name for _, name in es.rest), es.sub_alias} - {""}
+        inner = [a.query for a in _subqueries(es.select)] + ([es.sub] if es.sub else [])
+        for e, _ in es.rest:
+            inner += [a.query for a in _subqueries(e)]
+        return names.union(*(added(q) for q in inner))
+
+    for stmt in statements:
+        names = added(sf.parse_emitted(stmt))
+        assert not {n.lower() for n in names} & query_names, stmt
+    db = _random_database(schema, tmp_path, seed=3)
+    con = strict_sqlite(db)
+    assert sqlite_value(con, statements[0]) == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
+    assert sqlite_value(con, statements[1]) == pytest.approx(eng.run_sensitivity(plan, db)[0], rel=1e-9)
+
+
+def _subqueries(e):
+    if isinstance(e, sf.SubQuery):
+        yield e
+    for f in getattr(e, "args", ()):
+        yield from _subqueries(f)
+    for f in (getattr(e, "lhs", None), getattr(e, "rhs", None), getattr(e, "then", None),
+              getattr(e, "other", None)):
+        if f is not None:
+            yield from _subqueries(f)
 
 
 def test_each_tables_combined_term_is_log_lipschitz_in_its_columns():

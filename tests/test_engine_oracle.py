@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import write_table
+from dersens import analyzer as an
 from dersens import engine as eng
 from dersens import sqlfront as sf
 from dersens.analyzer import PlanParams, build_plan, emit_sql, render
@@ -46,7 +47,7 @@ from dersens.sqlfront import (
     StrLit,
     TruePred,
 )
-from sqlite_exec import sqlite_dialect, sqlite_value, strict_sqlite
+from sqlite_exec import assert_reads_row_columns, sqlite_dialect, sqlite_value, strict_sqlite
 
 SCHEMA = """\
 table t
@@ -390,6 +391,31 @@ def test_emitted_sql_on_sqlite_matches_engine(tmp_path, seed):
             assert got == pytest.approx(want, rel=1e-9), (sql, what)
             agreed += 1
     assert agreed > 0
+
+
+def _sqlite_outcome(con, stmt):
+    try:
+        return sqlite_value(con, stmt), None
+    except Exception as exc:  # an overflow in exp, pow or ln raises, as in PostgreSQL
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shared_nodes_are_columns_that_inline_to_the_flat_statement(tmp_path, seed, monkeypatch):
+    # each statement is the flat one (no node named) with inner selects of
+    # row columns: shorter, each shared column read at least twice, and the
+    # same sqlite value to the bit
+    plans = [(sql, db, plan) for sql, db, plan in _seeded_cases(tmp_path, seed)]
+    named = [emit_sql(plan) for _, _, plan in plans]
+    monkeypatch.setattr(an, "_share", lambda *args: None)
+    shared = 0
+    for (sql, db, plan), statements in zip(plans, named):
+        con = strict_sqlite(db)
+        for stmt, flat in zip(statements, emit_sql(plan)):
+            assert_reads_row_columns(stmt, flat)
+            assert _sqlite_outcome(con, stmt) == _sqlite_outcome(con, flat), (sql, stmt)
+            shared += stmt != flat
+    assert shared > 0
 
 
 def test_join_keeps_nested_loop_order(tmp_path):

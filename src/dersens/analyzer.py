@@ -470,13 +470,12 @@ class _Memo(dict):
     last requested it."""
 
     def __init__(self):
-        super().__init__()
         self.scope = 0
         # the scope's row values, which the outer text may only read through
         # a column: the column references and public values it rendered, and
         # the text of each entry of an earlier scope it requested, which it
         # did not render and so counts as a whole
-        self.values: list[str] = []
+        self.row_values: list[str] = []
         self.twice: list[str] = []  # the long texts it requested more than once
 
 
@@ -494,16 +493,19 @@ def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
         return _fmt_num(e.value)
     if memo is None:
         memo = _Memo()
+    if type(e) is Col:
+        memo.row_values.append(e.name)
+        return e.name
     entry = memo.get(id(e))
     if entry is None:
         text = _render(e, memo)
         memo[id(e)] = [e, text, 1, memo.scope]
-        if type(e) is Col or type(e) is Opaque:
-            memo.values.append(text)
+        if type(e) is Opaque:
+            memo.row_values.append(text)
         return text
     if entry[3] != memo.scope:
         entry[2], entry[3] = 1, memo.scope
-        memo.values.append(entry[1])
+        memo.row_values.append(entry[1])
     else:
         entry[2] += 1
         if entry[2] == 2 and len(entry[1]) >= _SHARED_MIN:
@@ -532,10 +534,12 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
     if isinstance(e, Sum):
         out = render(e.children[0], memo)
         for c in e.children[1:]:
-            if isinstance(c, Const) and c.value < 0:
+            if type(c) is Const and c.value < 0:
                 out = f"({out} - {_fmt_num(-c.value)})"
-            elif _is_negation(c):
-                # (-1.0) * b is exactly -b, so a + (-1.0) * b is exactly a - b
+            elif (type(c) is Prod and len(c.children) == 2
+                  and type(c.children[0]) is Const and c.children[0].value == -1.0):
+                # (-1.0) * b, the form `sub` gives a - b, is exactly -b, so
+                # a + (-1.0) * b is exactly a - b
                 out = f"({out} - {render(c.children[1], memo)})"
             else:
                 out = f"({out} + {render(c, memo)})"
@@ -555,8 +559,6 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
         for t in terms[1:]:
             out = f"({out} + {t})"
         return f"({out} ^ {_fmt_num(1.0 / e.p)})"
-    if isinstance(e, Col):
-        return e.name
     if isinstance(e, Exp):
         return f"exp({_scaled(e.rate, e.child, memo)})"
     if isinstance(e, Max):
@@ -588,6 +590,8 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
         return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
     if isinstance(e, Ln):
         return f"ln({render(e.child, memo)})"
+    if isinstance(e, Col):
+        return e.name
     if isinstance(e, Const):
         return _fmt_num(e.value)
     raise TypeError(f"cannot render {type(e).__name__}")
@@ -604,14 +608,6 @@ def _scaled(k: float, e: ScalarExpr, memo: _Memo) -> str:
     return f"({_fmt_num(k)} * {render(e, memo)})"
 
 
-def _is_negation(e: ScalarExpr) -> bool:
-    """e is (-1.0) * b, the form `sub` gives a - b."""
-    return (
-        isinstance(e, Prod) and len(e.children) == 2
-        and isinstance(e.children[0], Const) and e.children[0].value == -1.0
-    )
-
-
 def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[str, str]]] | None:
     """One level of sharing for the SELECT of `memo.scope`, whose aggregate
     prints `outer`: (that text with columns of an inner select put in, the
@@ -625,15 +621,16 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     it; a row value still printed becomes a column cK, so that the outer
     text reads every row value through a column.  A column reference holds
     no other text, so those come last, when the outer text is short."""
-    if not memo.twice:
+    twice, values = memo.twice, memo.row_values
+    if not twice:
         return None
-    twice, values = set(memo.twice), set(memo.values)
     skip = len(names.rows) + 1  # "r." before a column's name
     kt = kc = 0
+    tref, cref = names.ref("t", 0), names.ref("c", 0)
     columns: list[tuple[str, str]] = []
     refs: list[str] = []  # the column references among the values
     # sorted is stable: texts of one length keep the order they were rendered in
-    for text in sorted(dict.fromkeys(memo.twice + memo.values), key=len, reverse=True):
+    for text in sorted(dict.fromkeys(twice + values), key=len, reverse=True):
         if "(" not in text and " " not in text:
             refs.append(text)
             continue
@@ -642,51 +639,62 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
         if text in twice:
             parts = outer.split(text)
             n = len(parts) - 1
-            if n > 1:
-                ref = names.ref("t", kt)
-                # a column costs its text, " AS ", its name and ", ", and
-                # each read its reference
-                if (n - 1) * len(text) > len(ref) - skip + 6 + n * len(ref):
-                    outer = ref.join(parts)
-                    columns.append((ref[skip:], text))
-                    kt += 1
-                    continue
+            # a column costs its text, " AS ", its name and ", ", and each
+            # read its reference
+            if n > 1 and (n - 1) * len(text) > len(tref) - skip + 6 + n * len(tref):
+                outer = tref.join(parts)
+                columns.append((tref[skip:], text))
+                kt += 1
+                tref = names.ref("t", kt)
+                continue
         if text in values:
-            ref = names.ref("c", kc)
-            put = outer.replace(text, ref)
+            put = outer.replace(text, cref)
             if put is not outer:
                 outer = put
-                columns.append((ref[skip:], text))
+                columns.append((cref[skip:], text))
                 kc += 1
+                cref = names.ref("c", kc)
     if not kt:
         return None
     for text in refs:
-        ref = names.ref("c", kc)
-        put = outer.replace(text, ref)
+        put = outer.replace(text, cref)
         if put is not outer:
             outer = put
-            columns.append((ref[skip:], text))
+            columns.append((cref[skip:], text))
             kc += 1
+            cref = names.ref("c", kc)
     return outer, columns
 
 
+# the names a statement adds when the query's tables, aliases and columns
+# hold none of them, as it nearly always does
+_PLAIN_NAMES = frozenset(("r", "g", "sub", "sdsg", *(f"{p}{k}" for p in "tc" for k in range(100))))
+
+
 class _Names:
-    """The names a statement adds: the derived tables, the sensitivity
-    column, the group key and the columns tK and cK, none equal (in any
-    case) to a table or alias of the query or a column of its tables."""
+    """The names a statement adds: the derived tables `rows` and `sub`, the
+    sensitivity column `sdsg`, the group key `group` and the columns tK and
+    cK, none equal (in any case) to a table or alias of the query or a
+    column of its tables."""
 
     def __init__(self, ctx: AnalysisContext):
-        self._taken = (
-            {a.lower() for a in ctx.aliases},
-            *(ctx.schema.table(t).lower_names for t in set(ctx.aliases.values())),
-        )
-        self.sub, self.sdsg = self._fresh("sub"), self._fresh("sdsg")
-        self._rows: tuple[str, str] | None = None
+        aliases = {a.lower() for a in ctx.aliases}
+        self._taken = (aliases, *[ctx.schema.table(t).lower_names for t in ctx.aliases.values()])
+        self._plain = True
+        for names in self._taken:
+            self._plain = self._plain and names.isdisjoint(_PLAIN_NAMES)
+        if self._plain:
+            self.rows, self.group, self.sub, self.sdsg = "r", "g", "sub", "sdsg"
+        else:
+            self.rows, self.group, self.sub, self.sdsg = map(self._fresh, ("r", "g", "sub", "sdsg"))
         self._refs: dict[str, list[str]] = {"t": [], "c": []}
         self._next = {"t": 0, "c": 0}
 
     def _free(self, name: str) -> bool:
-        return not any(name in names for names in self._taken)
+        for names in self._taken:
+            if name in names:
+                return False
+        return True
 
     def _fresh(self, base: str) -> str:
         name, k = base, 0
@@ -695,27 +703,14 @@ class _Names:
             name = f"{base}{k}"
         return name
 
-    @property
-    def rows(self) -> str:
-        """The inner select's alias."""
-        if self._rows is None:
-            self._rows = self._fresh("r"), self._fresh("g")
-        return self._rows[0]
-
-    @property
-    def group(self) -> str:
-        """The inner select's column for the sensitive row a row belongs to."""
-        self.rows
-        return self._rows[1]
-
     def ref(self, prefix: str, k: int) -> str:
-        """The reference r.prefixJ to the k-th free name prefixJ."""
+        """rows.name for the k-th free name of the form prefix + number."""
         refs = self._refs[prefix]
         while len(refs) <= k:
-            name = f"{prefix}{self._next[prefix]}"
-            self._next[prefix] += 1
-            if self._free(name):
-                refs.append(f"{self.rows}.{name}")
+            j = self._next[prefix]
+            self._next[prefix] = j + 1
+            if (self._plain and j < 100) or self._free(f"{prefix}{j}"):
+                refs.append(f"{self.rows}.{prefix}{j}")
         return refs[k]
 
 
@@ -784,23 +779,22 @@ def _rows_select(
     row values read from an inner select over `source`, whichever is
     shorter; the inner select carries the group key too."""
     memo.scope += 1
-    memo.values, memo.twice = [], []
+    memo.row_values, memo.twice = [], []
     body = render(e, memo)
-    flat = f"SELECT {head}{body}{tail}{source}"
-    if group is not None:
-        flat += f" GROUP BY {group}"
+    grouped = "" if group is None else f" GROUP BY {group}"
     shared = _share(memo, body, names)
-    if shared is None:
-        return flat
-    outer, columns = shared
-    items = ", ".join(f"{text} AS {name}" for name, text in columns)
-    rows = names.rows
-    grouped = ""
-    if group is not None:
-        items += f", {group} AS {names.group}"
-        grouped = f" GROUP BY {rows}.{names.group}"
-    nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}{source}) AS {rows}{grouped}"
-    return nested if len(nested) < len(flat) else flat
+    if shared is not None:
+        outer, columns = shared
+        items = ", ".join(f"{text} AS {name}" for name, text in columns)
+        rows = names.rows
+        if group is not None:
+            items += f", {group} AS {names.group}"
+        nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}{source}) AS {rows}"
+        if group is not None:
+            nested += f" GROUP BY {rows}.{names.group}"
+        if len(nested) < len(head) + len(body) + len(tail) + len(source) + len(grouped) + 7:
+            return nested
+    return f"SELECT {head}{body}{tail}{source}{grouped}"
 
 
 def _emit_table_sensitivity(

@@ -469,6 +469,8 @@ class _Memo(dict):
     entry counts the render calls of its node in `scope`, the SELECT that
     last requested it."""
 
+    __slots__ = ("scope", "row_values", "twice")
+
     def __init__(self):
         self.scope = 0
         # the scope's row values, which the outer text may only read through
@@ -476,7 +478,7 @@ class _Memo(dict):
         # the text of each entry of an earlier scope it requested, which it
         # did not render and so counts as a whole
         self.row_values: list[str] = []
-        self.twice: list[str] = []  # the long texts it requested more than once
+        self.twice: list[list] = []  # the entries of long texts it requested more than once
 
 
 _SHARED_MIN = 8  # shorter texts never pay for a column of their own
@@ -489,18 +491,20 @@ def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
     terms is rendered once; it keeps each node alive, so that its id is not
     reused while the memo lives.  Pass one memo to the render calls of one
     statement."""
-    if type(e) is Const:
+    kind = type(e)
+    if kind is Const:
         return _fmt_num(e.value)
     if memo is None:
         memo = _Memo()
-    if type(e) is Col:
+    if kind is Col:
         memo.row_values.append(e.name)
         return e.name
-    entry = memo.get(id(e))
+    key = id(e)
+    entry = memo.get(key)
     if entry is None:
         text = _render(e, memo)
-        memo[id(e)] = [e, text, 1, memo.scope]
-        if type(e) is Opaque:
+        memo[key] = [e, text, 1, memo.scope]
+        if kind is Opaque:
             memo.row_values.append(text)
         return text
     if entry[3] != memo.scope:
@@ -509,7 +513,7 @@ def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
     else:
         entry[2] += 1
         if entry[2] == 2 and len(entry[1]) >= _SHARED_MIN:
-            memo.twice.append(entry[1])
+            memo.twice.append(entry)
     return entry[1]
 
 
@@ -621,33 +625,43 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     it; a row value still printed becomes a column cK, so that the outer
     text reads every row value through a column.  A column reference holds
     no other text, so those come last, when the outer text is short."""
-    twice, values = memo.twice, memo.row_values
-    if not twice:
+    if not memo.twice:
         return None
     skip = len(names.rows) + 1  # "r." before a column's name
     kt = kc = 0
     tref, cref = names.ref("t", 0), names.ref("c", 0)
-    columns: list[tuple[str, str]] = []
-    refs: list[str] = []  # the column references among the values
-    # sorted is stable: texts of one length keep the order they were rendered in
-    for text in sorted(dict.fromkeys(twice + values), key=len, reverse=True):
+    # a column costs its text, " AS ", its name and ", ", and each read its
+    # reference; a text requested fewer times than that pays for is left
+    # unlooked-for, as a text is printed no more often than its requests
+    # unless a longer text that holds it is, and that one pays for less
+    cost = len(tref) - skip + 6
+    # 1: a node that may pay for a column tK, 2: a row value, with a column
+    # reference (a text with no "(" or " ") among them only from `refs`
+    picks = {text: 1 for _, text, n, _ in memo.twice
+             if (n - 1) * len(text) > cost + n * len(tref) and ("(" in text or " " in text)}
+    refs: list[str] = []
+    for text in dict.fromkeys(memo.row_values):
         if "(" not in text and " " not in text:
             refs.append(text)
-            continue
+        else:
+            picks[text] = picks.get(text, 0) | 2
+    columns: list[tuple[str, str]] = []
+    # sorted is stable: texts of one length keep the order they were rendered in
+    for text in sorted(picks, key=len, reverse=True):
         if len(text) > len(outer):
             continue
-        if text in twice:
+        kind = picks[text]
+        if kind & 1:
             parts = outer.split(text)
             n = len(parts) - 1
-            # a column costs its text, " AS ", its name and ", ", and each
-            # read its reference
-            if n > 1 and (n - 1) * len(text) > len(tref) - skip + 6 + n * len(tref):
+            if n > 1 and (n - 1) * len(text) > cost + n * len(tref):
                 outer = tref.join(parts)
                 columns.append((tref[skip:], text))
                 kt += 1
                 tref = names.ref("t", kt)
+                cost = len(tref) - skip + 6
                 continue
-        if text in values:
+        if kind & 2:
             put = outer.replace(text, cref)
             if put is not outer:
                 outer = put
@@ -667,8 +681,9 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
 
 
 # the names a statement adds when the query's tables, aliases and columns
-# hold none of them, as it nearly always does
+# hold none of them, as they nearly always do, and the references to them
 _PLAIN_NAMES = frozenset(("r", "g", "sub", "sdsg", *(f"{p}{k}" for p in "tc" for k in range(100))))
+_PLAIN_REFS = {p: tuple(f"r.{p}{k}" for k in range(100)) for p in "tc"}
 
 
 class _Names:
@@ -678,23 +693,19 @@ class _Names:
     column of its tables."""
 
     def __init__(self, ctx: AnalysisContext):
-        aliases = {a.lower() for a in ctx.aliases}
-        self._taken = (aliases, *[ctx.schema.table(t).lower_names for t in ctx.aliases.values()])
-        self._plain = True
-        for names in self._taken:
-            self._plain = self._plain and names.isdisjoint(_PLAIN_NAMES)
-        if self._plain:
+        tables = ctx.schema.tables
+        self._taken = (frozenset(map(str.lower, ctx.aliases)),
+                       *[tables[t].lower_names for t in ctx.aliases.values()])
+        if all(map(_PLAIN_NAMES.isdisjoint, self._taken)):
             self.rows, self.group, self.sub, self.sdsg = "r", "g", "sub", "sdsg"
+            self._refs: dict[str, tuple[str, ...] | list[str]] = dict(_PLAIN_REFS)
         else:
             self.rows, self.group, self.sub, self.sdsg = map(self._fresh, ("r", "g", "sub", "sdsg"))
-        self._refs: dict[str, list[str]] = {"t": [], "c": []}
-        self._next = {"t": 0, "c": 0}
+            self._refs = {"t": (), "c": ()}
+        self._next = dict.fromkeys(self._refs, len(self._refs["t"]))
 
     def _free(self, name: str) -> bool:
-        for names in self._taken:
-            if name in names:
-                return False
-        return True
+        return not any(name in names for names in self._taken)
 
     def _fresh(self, base: str) -> str:
         name, k = base, 0
@@ -706,11 +717,14 @@ class _Names:
     def ref(self, prefix: str, k: int) -> str:
         """rows.name for the k-th free name of the form prefix + number."""
         refs = self._refs[prefix]
+        if k < len(refs):
+            return refs[k]
+        refs = self._refs[prefix] = list(refs)
         while len(refs) <= k:
-            j = self._next[prefix]
-            self._next[prefix] = j + 1
-            if (self._plain and j < 100) or self._free(f"{prefix}{j}"):
-                refs.append(f"{self.rows}.{prefix}{j}")
+            name = f"{prefix}{self._next[prefix]}"
+            self._next[prefix] += 1
+            if self._free(name):
+                refs.append(f"{self.rows}.{name}")
         return refs[k]
 
 
@@ -743,18 +757,19 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     memo = _Memo()  # shared by every render call
     names = _Names(ctx)
 
+    # the sensitivity statement first: it prints most of what the two share
+    live = [tp for tp in plan.table_plans if tp.combined != ex.ZERO]
+    if not live and plan.table_plans:
+        # keep the group structure with a constant zero per row
+        live = plan.table_plans[:1]
+    parts = [_emit_table_sensitivity(froms, pubs, tp, memo, names) for tp in live]
+
     agg = plan.aggregator
     if agg == "COUNT" and plan.sigma is None:
         modified = f"SELECT count(*) FROM {froms}{where};"
     else:
         head, tail = _AGGREGATE_SQL.get(agg, (f"{agg.lower()}(", ")"))
         modified = _rows_select(memo, names, plan.row_expr, head, tail, f" FROM {froms}{where}") + ";"
-
-    live = [tp for tp in plan.table_plans if tp.combined != ex.ZERO]
-    if not live and plan.table_plans:
-        # keep the group structure with a constant zero per row
-        live = plan.table_plans[:1]
-    parts = [_emit_table_sensitivity(froms, pubs, tp, memo, names) for tp in live]
     q = ex.dual_exponent(ctx.schema.database_p)
     if not parts:
         sensitivity = "SELECT 0.0;"
@@ -785,7 +800,7 @@ def _rows_select(
     shared = _share(memo, body, names)
     if shared is not None:
         outer, columns = shared
-        items = ", ".join(f"{text} AS {name}" for name, text in columns)
+        items = ", ".join([f"{text} AS {name}" for name, text in columns])
         rows = names.rows
         if group is not None:
             items += f", {group} AS {names.group}"

@@ -718,7 +718,7 @@ class TableSchema:
         table when it finishes, so they follow a norm a norm file replaces."""
         self.types = dict(self.columns)
         self.lower_names = frozenset(
-            n.lower() for n in (self.name, f"{self.name}_sensRows", "ID", "sensitive", *self.types)
+            map(str.lower, (self.name, f"{self.name}_sensRows", "ID", "sensitive", *self.types))
         )
         self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
         self.normal_norms = {}

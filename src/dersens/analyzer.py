@@ -631,9 +631,9 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     kt = kc = 0
     tref, cref = names.ref("t", 0), names.ref("c", 0)
     # a column costs its text, " AS ", its name and ", ", and each read its
-    # reference; a text requested fewer times than that pays for is left
-    # unlooked-for, as a text is printed no more often than its requests
-    # unless a longer text that holds it is, and that one pays for less
+    # reference.  A text requested fewer times than that pays for is not
+    # looked for: it is printed more often than requested only inside a
+    # longer text printed more often, which is looked for first.
     cost = len(tref) - skip + 6
     # 1: a node that may pay for a column tK, 2: a row value, with a column
     # reference (a text with no "(" or " ") among them only from `refs`
@@ -694,15 +694,15 @@ class _Names:
 
     def __init__(self, ctx: AnalysisContext):
         tables = ctx.schema.tables
-        self._taken = (frozenset(map(str.lower, ctx.aliases)),
-                       *[tables[t].lower_names for t in ctx.aliases.values()])
+        self._taken = [tables[t].lower_names for t in ctx.aliases.values()]
+        if ctx.aliases.keys() != set(ctx.aliases.values()):
+            self._taken.append(frozenset(map(str.lower, ctx.aliases)))
         if all(map(_PLAIN_NAMES.isdisjoint, self._taken)):
             self.rows, self.group, self.sub, self.sdsg = "r", "g", "sub", "sdsg"
-            self._refs: dict[str, tuple[str, ...] | list[str]] = dict(_PLAIN_REFS)
+            self._refs = _PLAIN_REFS
         else:
             self.rows, self.group, self.sub, self.sdsg = map(self._fresh, ("r", "g", "sub", "sdsg"))
             self._refs = {"t": (), "c": ()}
-        self._next = dict.fromkeys(self._refs, len(self._refs["t"]))
 
     def _free(self, name: str) -> bool:
         return not any(name in names for names in self._taken)
@@ -719,12 +719,15 @@ class _Names:
         refs = self._refs[prefix]
         if k < len(refs):
             return refs[k]
-        refs = self._refs[prefix] = list(refs)
+        # past the shared references: the next free numbers, in this
+        # statement's own copy
+        j = int(refs[-1].rpartition(".")[2][len(prefix):]) + 1 if refs else 0
+        refs = list(refs)
+        self._refs = {**self._refs, prefix: refs}
         while len(refs) <= k:
-            name = f"{prefix}{self._next[prefix]}"
-            self._next[prefix] += 1
-            if self._free(name):
-                refs.append(f"{self.rows}.{name}")
+            if self._free(f"{prefix}{j}"):
+                refs.append(f"{self.rows}.{prefix}{j}")
+            j += 1
         return refs[k]
 
 

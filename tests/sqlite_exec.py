@@ -62,6 +62,16 @@ def sqlite_value(con: sqlite3.Connection, sql: str) -> float | None:
     return value
 
 
+def sqlite_outcome(con: sqlite3.Connection, sql: str) -> tuple[float | None, type | None]:
+    """(the value, None) of an emitted statement, or (None, the exception's
+    type) when it raises: an overflow in exp, pow or ln raises, as in
+    PostgreSQL."""
+    try:
+        return sqlite_value(con, sql), None
+    except (sqlite3.Error, OverflowError, ValueError) as exc:
+        return None, type(exc)
+
+
 def _close(sql: str, i: int) -> int:
     """The index of the ")" that closes the "(" at i; string literals skipped."""
     depth = 0
@@ -96,42 +106,42 @@ def _split_items(sql: str) -> tuple[list[tuple[str, str]], str]:
         i += 1
 
 
-def row_columns(sql: str) -> list[tuple[str, str, list[tuple[str, str]], str]]:
-    """The inner selects of row columns in an emitted statement, innermost
-    last: (the enclosing select's text, the derived table's alias, its
-    columns as (text, name), its source after FROM).  A derived table is
-    one when the select around it reads its columns as alias.name."""
+def row_columns(sql: str) -> list[tuple[str, str, str, list[tuple[str, str]], str]]:
+    """The inner selects of row columns in an emitted statement, in order:
+    (the text of the select around one, its own text "(SELECT ...) AS
+    alias", the alias, its columns as (text, name), its source after
+    FROM).  A derived table is one when the select around it reads its
+    columns as alias.name."""
     found = []
     for m in re.finditer(r"\(SELECT ", sql):
         end = _close(sql, m.start())
         alias = re.match(r" AS (\w+)", sql[end + 1:])
         if alias is None:
             continue
+        derived = sql[m.start():end + 1 + alias.end()]
         # the select around the derived table: its own parentheses, if any
         depth, i = 0, m.start() - 1
         while i >= 0 and not (sql[i] == "(" and depth == 0):
             depth += {")": 1, "(": -1}.get(sql[i], 0)
             i -= 1
         around = sql[i + 1:_close(sql, i)] if i >= 0 else sql
-        if re.search(rf"\b{alias[1]}\.\w", around.replace(sql[m.start():end + 1], "")):
+        if re.search(rf"\b{alias[1]}\.\w", around.replace(derived, "", 1)):
             items, source = _split_items(sql[m.end():end])
-            found.append((around, alias[1], items, source))
+            found.append((around, derived, alias[1], items, source))
     return found
 
 
 def inline_row_columns(sql: str) -> str:
     """An emitted statement with each inner select of row columns undone:
-    every alias.name read put back as the column's text, and the derived
-    table as its source, so that it prints each shared node in full."""
+    the derived table put back as its source, and every alias.name read as
+    the column's text, so that it prints each shared node in full."""
     while True:
         found = row_columns(sql)
         if not found:
             return sql
-        around, alias, items, source = found[0]
-        body = around.replace(f"(SELECT {', '.join(f'{t} AS {n}' for t, n in items)} FROM {source}) AS {alias}",
-                              source, 1)
-        by_name = dict((n, t) for t, n in items)
-        body = re.sub(rf"\b{alias}\.(\w+)\b", lambda m: by_name[m[1]], body)
+        around, derived, alias, items, source = found[0]
+        by_name = {name: text for text, name in items}
+        body = re.sub(rf"\b{alias}\.(\w+)\b", lambda m: by_name[m[1]], around.replace(derived, source, 1))
         sql = sql.replace(around, body, 1)
 
 
@@ -142,9 +152,8 @@ def assert_reads_row_columns(named: str, flat: str) -> None:
     column tK is read at least twice by the select around it."""
     assert inline_row_columns(named) == flat
     assert named == flat or len(named) < len(flat)
-    for around, alias, items, _ in row_columns(named):
-        # the select around the derived table, without it
-        reads = around[:around.index("(SELECT ")] + around[around.rindex(f") AS {alias}"):]
+    for around, derived, alias, items, _ in row_columns(named):
+        reads = around.replace(derived, "", 1)
         for _, name in items:
             if re.fullmatch(r"t\d+", name):
                 assert len(re.findall(rf"\b{alias}\.{name}\b", reads)) >= 2, (name, named)

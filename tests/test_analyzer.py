@@ -21,7 +21,9 @@ from conftest import (
     write_table,
 )
 from ds_oracles import finite_diff_ds
-from sqlite_exec import assert_reads_row_columns, row_columns, sqlite_value, strict_sqlite
+from sqlite_exec import (
+    assert_reads_row_columns, row_columns, sqlite_outcome, sqlite_value, strict_sqlite,
+)
 from test_norms import _random_norm
 from dersens import analyzer as an
 from dersens import engine as eng
@@ -421,21 +423,35 @@ def test_golden_shapes():
 # shared nodes as columns of an inner select
 # ---------------------------------------------------------------------------
 
-_TEXTS = ["R", "F", "N", "O", "A", "x", "Brand#14", "Brand#34", "Brand#13", "SM BOX", "LG CASE",
-          "LARGE ANODIZED TIN", "MEDIUM POLISHED STEEL", "Customer said Complaints", "north",
-          "south", "1-URGENT", "2-HIGH"]
+# the values each column draws from, so that the golden queries' public
+# filters and joins keep some rows: (text choices) or an (int) range
+_COLUMN_VALUES = {
+    "l_returnflag": ["R", "N"], "l_linestatus": ["F", "O"], "p_brand": ["Brand#14", "Brand#34"],
+    "p_type": ["LARGE ANODIZED TIN", "MEDIUM POLISHED STEEL"], "p_container": ["SM BOX", "LG CASE"],
+    "s_comment": ["fine", "Customer said Complaints"], "m_site": ["north", "x"],
+    "p_partkey": (1, 4), "ps_partkey": (1, 4), "ps_suppkey": (5, 8), "s_suppkey": (5, 8),
+    "ps_availqty": (0, 6000), "p_size": (0, 40), "s_acctbal": (0, 2000),
+}
 
 
 def _random_database(schema, path, seed):
-    """Nine rows in each table of `schema`: numbers over the ranges the
-    queries filter on, text from the literals they compare with."""
+    """Twelve rows in each table of `schema`, loaded: each column's values
+    from _COLUMN_VALUES, other numbers over the range the queries filter."""
     rng = random.Random(seed)
+
+    def value(col, ty):
+        spec = _COLUMN_VALUES.get(col)
+        if isinstance(spec, list):
+            return rng.choice(spec)
+        if ty == "text":
+            return rng.choice(["x", "y"])
+        lo, hi = spec or (0, 9 if ty == "int" else 400)
+        return rng.randint(lo, hi) if ty == "int" else round(rng.uniform(lo - 20.0, hi), 1)
+
     for name, ts in schema.tables.items():
-        cols = [c for c, _ in ts.columns]
-        rows = [[rng.choice(_TEXTS) if ty == "text" else
-                 rng.randint(0, 9) if ty == "int" else round(rng.uniform(-20.0, 400.0), 1)
-                 for _, ty in ts.columns] for _ in range(9)]
-        write_table(str(path), name, cols, rows, [rng.random() < 0.7 for _ in rows])
+        rows = [[value(c, ty) for c, ty in ts.columns] for _ in range(12)]
+        write_table(str(path), name, [c for c, _ in ts.columns], rows,
+                    [rng.random() < 0.7 for _ in rows])
     return load_database(str(path), schema)
 
 
@@ -455,22 +471,20 @@ def _flat_and_named(plan, monkeypatch):
         return emit_sql(plan), named
 
 
-def _sqlite_outcome(con, stmt):
-    try:
-        return sqlite_value(con, stmt), None
-    except Exception as exc:  # an overflow in exp, pow or ln raises, as in PostgreSQL
-        return None, type(exc)
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_statements_read_shared_nodes_as_columns(name, tmp_path, monkeypatch):
+    # as emitted, each golden statement is its flat form with shared nodes
+    # read from an inner select, and gives the engine's value on sqlite
     schema_text, sql, params = GOLDEN_CASES[name]
     _, plan = _plan_for(sql, schema_text, params)
-    db = _random_database(parse_schema(schema_text), tmp_path, seed=len(name))
+    db = _random_database(parse_schema(schema_text), tmp_path, seed=7)
     con = strict_sqlite(db)
-    for flat, named in zip(*_flat_and_named(plan, monkeypatch)):
+    engine = (eng.run_modified(plan, db), eng.run_sensitivity(plan, db)[0])
+    for flat, named, want in zip(*_flat_and_named(plan, monkeypatch), engine):
         assert_reads_row_columns(named, flat)
-        assert _sqlite_outcome(con, named) == _sqlite_outcome(con, flat)
+        got = sqlite_outcome(con, named)
+        assert got == sqlite_outcome(con, flat)
+        assert got[0] is not None and got[0] == pytest.approx(want, rel=1e-9), (name, named)
 
 
 def test_benchmark_mix_reads_shared_nodes_as_columns(tmp_path, monkeypatch):
@@ -485,7 +499,7 @@ def test_benchmark_mix_reads_shared_nodes_as_columns(tmp_path, monkeypatch):
                           PlanParams(beta=inputs.BETA, alpha=alpha, **flags))
         for flat, named in zip(*_flat_and_named(plan, monkeypatch)):
             assert_reads_row_columns(named, flat)
-            assert _sqlite_outcome(con, named) == _sqlite_outcome(con, flat), name
+            assert sqlite_outcome(con, named) == sqlite_outcome(con, flat), name
             flat_bytes, named_bytes = flat_bytes + len(flat), named_bytes + len(named)
     # the flat statements already print a + (-1.0) * b as (a - b)
     assert named_bytes < 0.9 * flat_bytes

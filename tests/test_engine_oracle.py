@@ -47,7 +47,9 @@ from dersens.sqlfront import (
     StrLit,
     TruePred,
 )
-from sqlite_exec import assert_reads_row_columns, sqlite_dialect, sqlite_value, strict_sqlite
+from sqlite_exec import (
+    assert_reads_row_columns, sqlite_dialect, sqlite_outcome, sqlite_value, strict_sqlite,
+)
 
 SCHEMA = """\
 table t
@@ -393,13 +395,6 @@ def test_emitted_sql_on_sqlite_matches_engine(tmp_path, seed):
     assert agreed > 0
 
 
-def _sqlite_outcome(con, stmt):
-    try:
-        return sqlite_value(con, stmt), None
-    except Exception as exc:  # an overflow in exp, pow or ln raises, as in PostgreSQL
-        return None, type(exc)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_shared_nodes_are_columns_that_inline_to_the_flat_statement(tmp_path, seed, monkeypatch):
     # each statement is the flat one (no node named) with inner selects of
@@ -413,7 +408,7 @@ def test_shared_nodes_are_columns_that_inline_to_the_flat_statement(tmp_path, se
         con = strict_sqlite(db)
         for stmt, flat in zip(statements, emit_sql(plan)):
             assert_reads_row_columns(stmt, flat)
-            assert _sqlite_outcome(con, stmt) == _sqlite_outcome(con, flat), (sql, stmt)
+            assert sqlite_outcome(con, stmt) == sqlite_outcome(con, flat), (sql, stmt)
             shared += stmt != flat
     assert shared > 0
 

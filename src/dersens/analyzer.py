@@ -628,8 +628,11 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     if not memo.twice:
         return None
     skip = len(names.rows) + 1  # "r." before a column's name
+    values = dict.fromkeys(memo.row_values)
+    # enough references for every text that could become a column
+    trefs, crefs = names.refs("t", len(memo.twice) + 1), names.refs("c", len(values) + 1)
     kt = kc = 0
-    tref, cref = names.ref("t", 0), names.ref("c", 0)
+    tref, cref = trefs[0], crefs[0]
     # a column costs its text, " AS ", its name and ", ", and each read its
     # reference.  A text requested fewer times than that pays for is not
     # looked for: it is printed more often than requested only inside a
@@ -640,7 +643,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     picks = {text: 1 for _, text, n, _ in memo.twice
              if (n - 1) * len(text) > cost + n * len(tref) and ("(" in text or " " in text)}
     refs: list[str] = []
-    for text in dict.fromkeys(memo.row_values):
+    for text in values:
         if "(" not in text and " " not in text:
             refs.append(text)
         else:
@@ -658,7 +661,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
                 outer = tref.join(parts)
                 columns.append((tref[skip:], text))
                 kt += 1
-                tref = names.ref("t", kt)
+                tref = trefs[kt]
                 cost = len(tref) - skip + 6
                 continue
         if kind & 2:
@@ -667,7 +670,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
                 outer = put
                 columns.append((cref[skip:], text))
                 kc += 1
-                cref = names.ref("c", kc)
+                cref = crefs[kc]
     if not kt:
         return None
     for text in refs:
@@ -676,7 +679,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
             outer = put
             columns.append((cref[skip:], text))
             kc += 1
-            cref = names.ref("c", kc)
+            cref = crefs[kc]
     return outer, columns
 
 
@@ -714,21 +717,22 @@ class _Names:
             name = f"{base}{k}"
         return name
 
-    def ref(self, prefix: str, k: int) -> str:
-        """rows.name for the k-th free name of the form prefix + number."""
+    def refs(self, prefix: str, n: int) -> tuple[str, ...] | list[str]:
+        """At least n references rows.name, to the free names of the form
+        prefix + number in order."""
         refs = self._refs[prefix]
-        if k < len(refs):
-            return refs[k]
+        if n <= len(refs):
+            return refs
         # past the shared references: the next free numbers, in this
         # statement's own copy
         j = int(refs[-1].rpartition(".")[2][len(prefix):]) + 1 if refs else 0
         refs = list(refs)
         self._refs = {**self._refs, prefix: refs}
-        while len(refs) <= k:
+        while len(refs) < n:
             if self._free(f"{prefix}{j}"):
                 refs.append(f"{self.rows}.{prefix}{j}")
             j += 1
-        return refs[k]
+        return refs
 
 
 def _public_conjuncts(ctx: AnalysisContext) -> list[str]:
@@ -771,7 +775,7 @@ def emit_sql(plan: SensitivityPlan) -> tuple[str, str]:
     if agg == "COUNT" and plan.sigma is None:
         modified = f"SELECT count(*) FROM {froms}{where};"
     else:
-        head, tail = _AGGREGATE_SQL.get(agg, (f"{agg.lower()}(", ")"))
+        head, tail = _AGGREGATE_SQL[agg] if agg in _AGGREGATE_SQL else (f"{agg.lower()}(", ")")
         modified = _rows_select(memo, names, plan.row_expr, head, tail, f" FROM {froms}{where}") + ";"
     q = ex.dual_exponent(ctx.schema.database_p)
     if not parts:

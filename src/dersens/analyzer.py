@@ -469,15 +469,17 @@ class _Memo(dict):
     entry counts the render calls of its node in `scope`, the SELECT that
     last requested it."""
 
-    __slots__ = ("scope", "row_values", "twice")
+    __slots__ = ("scope", "cols", "row_values", "twice")
 
     def __init__(self):
         self.scope = 0
         # the scope's row values, which the outer text may only read through
-        # a column: the column references and public values it rendered, and
-        # the text of each entry of an earlier scope it requested, which it
-        # did not render and so counts as a whole
-        self.row_values: list[str] = []
+        # a column, in the order rendered: the column references (`cols`,
+        # texts with no "(" or " "), and the other public values and the
+        # entries of an earlier scope it requested, which it did not render
+        # and so counts as a whole (`row_values`)
+        self.cols: dict[str, None] = {}
+        self.row_values: dict[str, None] = {}
         self.twice: list[list] = []  # the entries of long texts it requested more than once
 
 
@@ -497,7 +499,7 @@ def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
     if memo is None:
         memo = _Memo()
     if kind is Col:
-        memo.row_values.append(e.name)
+        memo.cols[e.name] = None
         return e.name
     key = id(e)
     entry = memo.get(key)
@@ -505,11 +507,12 @@ def render(e: ScalarExpr, memo: _Memo | None = None) -> str:
         text = _render(e, memo)
         memo[key] = [e, text, 1, memo.scope]
         if kind is Opaque:
-            memo.row_values.append(text)
+            (memo.cols if e.sql == e.key else memo.row_values)[text] = None
         return text
     if entry[3] != memo.scope:
         entry[2], entry[3] = 1, memo.scope
-        memo.row_values.append(entry[1])
+        text = entry[1]
+        (memo.row_values if "(" in text or " " in text else memo.cols)[text] = None
     else:
         entry[2] += 1
         if entry[2] == 2 and len(entry[1]) >= _SHARED_MIN:
@@ -628,9 +631,9 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     if not memo.twice:
         return None
     skip = len(names.rows) + 1  # "r." before a column's name
-    values = dict.fromkeys(memo.row_values)
     # enough references for every text that could become a column
-    trefs, crefs = names.refs("t", len(memo.twice) + 1), names.refs("c", len(values) + 1)
+    trefs = names.refs("t", len(memo.twice) + 1)
+    crefs = names.refs("c", len(memo.row_values) + len(memo.cols) + 1)
     kt = kc = 0
     tref, cref = trefs[0], crefs[0]
     # a column costs its text, " AS ", its name and ", ", and each read its
@@ -638,16 +641,12 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     # looked for: it is printed more often than requested only inside a
     # longer text printed more often, which is looked for first.
     cost = len(tref) - skip + 6
-    # 1: a node that may pay for a column tK, 2: a row value, with a column
-    # reference (a text with no "(" or " ") among them only from `refs`
+    # 1: a node that may pay for a column tK, 2: a row value; the column
+    # references come last
     picks = {text: 1 for _, text, n, _ in memo.twice
              if (n - 1) * len(text) > cost + n * len(tref) and ("(" in text or " " in text)}
-    refs: list[str] = []
-    for text in values:
-        if "(" not in text and " " not in text:
-            refs.append(text)
-        else:
-            picks[text] = picks.get(text, 0) | 2
+    for text in memo.row_values:
+        picks[text] = picks.get(text, 0) | 2
     columns: list[tuple[str, str]] = []
     # sorted is stable: texts of one length keep the order they were rendered in
     for text in sorted(picks, key=len, reverse=True):
@@ -673,7 +672,8 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
                 cref = crefs[kc]
     if not kt:
         return None
-    for text in refs:
+    # longest first, so that t.ab is gone before t.a is looked for
+    for text in sorted(memo.cols, key=len, reverse=True):
         put = outer.replace(text, cref)
         if put is not outer:
             outer = put
@@ -801,7 +801,7 @@ def _rows_select(
     row values read from an inner select over `source`, whichever is
     shorter; the inner select carries the group key too."""
     memo.scope += 1
-    memo.row_values, memo.twice = [], []
+    memo.cols, memo.row_values, memo.twice = {}, {}, []
     body = render(e, memo)
     grouped = "" if group is None else f" GROUP BY {group}"
     shared = _share(memo, body, names)

@@ -561,6 +561,19 @@ def test_the_names_a_statement_adds_are_none_of_the_querys(sql, tmp_path):
     assert sqlite_value(con, statements[1]) == pytest.approx(eng.run_sensitivity(plan, db)[0], rel=1e-9)
 
 
+def test_a_column_whose_name_begins_another_is_read_through_its_own_column(tmp_path, monkeypatch):
+    # t.a is put in after t.ab, so that it does not take the start of t.ab
+    schema = parse_schema("table t\ncol a real\ncol ab real\ncol w real\nrows lp 1.0\nnorm lp 1.0 ab a w\n")
+    ctx = validate(parse_query("select sum(t.a * t.ab) from t where t.w > 1.5 or t.w < -1.5"), schema)
+    plan = build_plan(ctx, PlanParams(beta=0.1, alpha=1.0))
+    db = _random_database(schema, tmp_path, seed=7)
+    con = strict_sqlite(db)
+    (flat, _), (named, _) = _flat_and_named(plan, monkeypatch)
+    assert row_columns(named)
+    assert_reads_row_columns(named, flat)
+    assert sqlite_value(con, named) == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
+
+
 def _subqueries(e):
     if isinstance(e, sf.SubQuery):
         yield e

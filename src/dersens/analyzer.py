@@ -597,10 +597,6 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
         return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
     if isinstance(e, Ln):
         return f"ln({render(e.child, memo)})"
-    if isinstance(e, Col):
-        return e.name
-    if isinstance(e, Const):
-        return _fmt_num(e.value)
     raise TypeError(f"cannot render {type(e).__name__}")
 
 
@@ -721,17 +717,13 @@ class _Names:
         """At least n references rows.name, to the free names of the form
         prefix + number in order."""
         refs = self._refs[prefix]
-        if n <= len(refs):
-            return refs
-        # past the shared references: the next free numbers, in this
-        # statement's own copy
-        j = int(refs[-1].rpartition(".")[2][len(prefix):]) + 1 if refs else 0
-        refs = list(refs)
-        self._refs = {**self._refs, prefix: refs}
-        while len(refs) < n:
-            if self._free(f"{prefix}{j}"):
-                refs.append(f"{self.rows}.{prefix}{j}")
-            j += 1
+        if len(refs) < n:
+            refs, j = [], 0
+            while len(refs) < n:
+                if self._free(f"{prefix}{j}"):
+                    refs.append(f"{self.rows}.{prefix}{j}")
+                j += 1
+            self._refs = {**self._refs, prefix: refs}
         return refs
 
 
@@ -803,20 +795,21 @@ def _rows_select(
     memo.scope += 1
     memo.cols, memo.row_values, memo.twice = {}, {}, []
     body = render(e, memo)
-    grouped = "" if group is None else f" GROUP BY {group}"
+    flat = f"SELECT {head}{body}{tail}{source}"
+    if group is not None:
+        flat += f" GROUP BY {group}"
     shared = _share(memo, body, names)
-    if shared is not None:
-        outer, columns = shared
-        items = ", ".join([f"{text} AS {name}" for name, text in columns])
-        rows = names.rows
-        if group is not None:
-            items += f", {group} AS {names.group}"
-        nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}{source}) AS {rows}"
-        if group is not None:
-            nested += f" GROUP BY {rows}.{names.group}"
-        if len(nested) < len(head) + len(body) + len(tail) + len(source) + len(grouped) + 7:
-            return nested
-    return f"SELECT {head}{body}{tail}{source}{grouped}"
+    if shared is None:
+        return flat
+    outer, columns = shared
+    items = ", ".join([f"{text} AS {name}" for name, text in columns])
+    rows = names.rows
+    nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}"
+    if group is None:
+        nested += f"{source}) AS {rows}"
+    else:
+        nested += f", {group} AS {names.group}{source}) AS {rows} GROUP BY {rows}.{names.group}"
+    return nested if len(nested) < len(flat) else flat
 
 
 def _emit_table_sensitivity(

@@ -483,7 +483,7 @@ class _Memo(dict):
         self.twice: list[list] = []  # the entries of long texts it requested more than once
 
 
-_SHARED_MIN = 8  # shorter texts never pay for a column of their own
+_SHARED_MIN = 8  # shorter texts pay for a column only when read often; not looked for
 
 
 def render(e: ScalarExpr, memo: _Memo | None = None) -> str:

@@ -693,15 +693,12 @@ class _Names:
 
     def __init__(self, ctx: AnalysisContext):
         tables = ctx.schema.tables
-        self._taken = [tables[t].lower_names for t in ctx.aliases.values()]
-        if ctx.aliases.keys() != set(ctx.aliases.values()):
-            self._taken.append(frozenset(map(str.lower, ctx.aliases)))
-        if all(map(_PLAIN_NAMES.isdisjoint, self._taken)):
-            self.rows, self.group, self.sub, self.sdsg = "r", "g", "sub", "sdsg"
-            self._refs = _PLAIN_REFS
-        else:
-            self.rows, self.group, self.sub, self.sdsg = map(self._fresh, ("r", "g", "sub", "sdsg"))
-            self._refs = {"t": (), "c": ()}
+        self._taken = [frozenset(map(str.lower, ctx.aliases)),
+                       *[tables[t].lower_names for t in ctx.aliases.values()]]
+        plain = all(map(_PLAIN_NAMES.isdisjoint, self._taken))
+        self.rows, self.group, self.sub, self.sdsg = (
+            base if plain else self._fresh(base) for base in ("r", "g", "sub", "sdsg"))
+        self._refs = _PLAIN_REFS if plain else {"t": (), "c": ()}
 
     def _free(self, name: str) -> bool:
         return not any(name in names for names in self._taken)
@@ -718,11 +715,11 @@ class _Names:
         prefix + number in order."""
         refs = self._refs[prefix]
         if len(refs) < n:
-            refs, j = [], 0
+            refs, k = [], 0
             while len(refs) < n:
-                if self._free(f"{prefix}{j}"):
-                    refs.append(f"{self.rows}.{prefix}{j}")
-                j += 1
+                if self._free(f"{prefix}{k}"):
+                    refs.append(f"{self.rows}.{prefix}{k}")
+                k += 1
             self._refs = {**self._refs, prefix: refs}
         return refs
 

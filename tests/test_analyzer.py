@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -543,18 +544,8 @@ def test_the_names_a_statement_adds_are_none_of_the_querys(sql, tmp_path):
     assert any(row_columns(stmt) for stmt in statements)
     query_names = {n.lower() for alias, table in ctx.aliases.items()
                    for n in (alias, table, *schema.table(table).types)}
-
-    def added(es):
-        """The derived-table aliases and select-item names of a parsed statement."""
-        names = {es.out_name, *(name for _, name in es.rest), es.sub_alias} - {""}
-        inner = [a.query for a in _subqueries(es.select)] + ([es.sub] if es.sub else [])
-        for e, _ in es.rest:
-            inner += [a.query for a in _subqueries(e)]
-        return names.union(*(added(q) for q in inner))
-
     for stmt in statements:
-        names = added(sf.parse_emitted(stmt))
-        assert not {n.lower() for n in names} & query_names, stmt
+        assert not {n.lower() for n in _added_names(sf.parse_emitted(stmt))} & query_names, stmt
     db = _random_database(schema, tmp_path, seed=3)
     con = strict_sqlite(db)
     assert sqlite_value(con, statements[0]) == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
@@ -574,15 +565,17 @@ def test_a_column_whose_name_begins_another_is_read_through_its_own_column(tmp_p
     assert sqlite_value(con, named) == pytest.approx(eng.run_modified(plan, db), rel=1e-9)
 
 
-def _subqueries(e):
-    if isinstance(e, sf.SubQuery):
-        yield e
-    for f in getattr(e, "args", ()):
-        yield from _subqueries(f)
-    for f in (getattr(e, "lhs", None), getattr(e, "rhs", None), getattr(e, "then", None),
-              getattr(e, "other", None)):
-        if f is not None:
-            yield from _subqueries(f)
+def _added_names(node) -> set[str]:
+    """The select-item names and derived-table aliases of a parsed emitted
+    statement, its subqueries included."""
+    if isinstance(node, tuple):
+        return set().union(*map(_added_names, node))
+    if not dataclasses.is_dataclass(node):
+        return set()
+    names = set().union(*(_added_names(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    if isinstance(node, sf.EmittedSelect):
+        names |= {node.out_name, node.sub_alias, *(name for _, name in node.rest)} - {""}
+    return names
 
 
 def test_each_tables_combined_term_is_log_lipschitz_in_its_columns():

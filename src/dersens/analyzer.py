@@ -532,13 +532,15 @@ class _Decay:
 
 
 def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
-    # the node types in about the order of how often a statement holds them
-    if isinstance(e, Prod):
+    # no node type has a subclass; the node types in about the order of how
+    # often a statement holds them
+    kind = type(e)
+    if kind is Prod:
         out = render(e.children[0], memo)
         for c in e.children[1:]:
             out = f"({out} * {render(c, memo)})"
         return out
-    if isinstance(e, Sum):
+    if kind is Sum:
         out = render(e.children[0], memo)
         for c in e.children[1:]:
             if type(c) is Const and c.value < 0:
@@ -551,11 +553,11 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
             else:
                 out = f"({out} + {render(c, memo)})"
         return out
-    if isinstance(e, LpNorm):
+    if kind is LpNorm:
         if len(e.children) == 1:
             return f"abs({render(e.children[0], memo)})"
         if e.p == INF:
-            return "greatest(" + ", ".join(f"abs({render(c, memo)})" for c in e.children) + ")"
+            return "greatest(" + ", ".join([f"abs({render(c, memo)})" for c in e.children]) + ")"
         if e.p == 1.0:
             out = f"abs({render(e.children[0], memo)})"
             for c in e.children[1:]:
@@ -566,36 +568,36 @@ def _render(e: ScalarExpr | _Decay, memo: _Memo) -> str:
         for t in terms[1:]:
             out = f"({out} + {t})"
         return f"({out} ^ {_fmt_num(1.0 / e.p)})"
-    if isinstance(e, Exp):
+    if kind is Exp:
         return f"exp({_scaled(e.rate, e.child, memo)})"
-    if isinstance(e, Max):
-        return "greatest(" + ", ".join(render(c, memo) for c in e.children) + ")"
+    if kind is Max:
+        return "greatest(" + ", ".join([render(c, memo) for c in e.children]) + ")"
     # The sigmoid and tauoid forms keep every exp() argument at most 709, so
     # none overflows in any SQL engine (exp(709) is below the largest double).
-    if isinstance(e, (SigmoidDeriv, Tauoid)):
+    if kind is SigmoidDeriv or kind is Tauoid:
         z = _Decay(e)
         z1, z2 = render(z, memo), render(z, memo)
-        if isinstance(e, Tauoid):
+        if kind is Tauoid:
             return f"((2.0 * {z1}) / (1.0 + ({z2} ^ 2.0)))"
         return f"(({_fmt_num(e.alpha)} * {z1}) / (({z2} + 1.0) ^ 2.0))"
-    if isinstance(e, _Decay):
+    if kind is _Decay:
         return f"exp(-abs({_scaled(e.of.alpha, e.of.child, memo)}))"
-    if isinstance(e, Sigmoid):
+    if kind is Sigmoid:
         return f"(1.0 / (exp(least({_scaled(-e.alpha, e.child, memo)}, 709.0)) + 1.0))"
-    if isinstance(e, IfGE):
+    if kind is IfGE:
         return (
             f"case when ({render(e.test, memo)} >= {render(e.threshold, memo)}) "
             f"then {render(e.if_true, memo)} else {render(e.if_false, memo)} end"
         )
-    if isinstance(e, Div):
+    if kind is Div:
         return f"({render(e.num, memo)} / {render(e.den, memo)})"
-    if isinstance(e, Min):
-        return "least(" + ", ".join(render(c, memo) for c in e.children) + ")"
-    if isinstance(e, Opaque):
+    if kind is Min:
+        return "least(" + ", ".join([render(c, memo) for c in e.children]) + ")"
+    if kind is Opaque:
         return e.sql
-    if isinstance(e, Power):
+    if kind is Power:
         return f"({render(e.child, memo)} ^ {_fmt_num(e.r)})"
-    if isinstance(e, Ln):
+    if kind is Ln:
         return f"ln({render(e.child, memo)})"
     raise TypeError(f"cannot render {type(e).__name__}")
 
@@ -611,10 +613,11 @@ def _scaled(k: float, e: ScalarExpr, memo: _Memo) -> str:
     return f"({_fmt_num(k)} * {render(e, memo)})"
 
 
-def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[str, str]]] | None:
+def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | None:
     """One level of sharing for the SELECT of `memo.scope`, whose aggregate
     prints `outer`: (that text with columns of an inner select put in, the
-    columns as (name, text)), or None when no node is worth a column.
+    inner select's items `text AS name`), or None when no node is worth a
+    column.
 
     Only a node the scope requested more than once can be printed more
     often than the node that holds it.  Those and the scope's row values
@@ -624,104 +627,104 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[tuple[st
     it; a row value still printed becomes a column cK, so that the outer
     text reads every row value through a column.  A column reference holds
     no other text, so those come last, when the outer text is short."""
-    if not memo.twice:
+    twice = memo.twice
+    if not twice:
         return None
-    skip = len(names.rows) + 1  # "r." before a column's name
-    # enough references for every text that could become a column
-    trefs = names.refs("t", len(memo.twice) + 1)
-    crefs = names.refs("c", len(memo.row_values) + len(memo.cols) + 1)
-    kt = kc = 0
-    tref, cref = trefs[0], crefs[0]
+    rows, taken = names.rows, names.taken
+    # the next free column names tK and cK, and their references
+    kt, kc, tname, cname = 0, 0, "t0", "c0"
+    while tname in taken:
+        kt += 1
+        tname = f"t{kt}"
+    while cname in taken:
+        kc += 1
+        cname = f"c{kc}"
+    tref, cref = f"{rows}.{tname}", f"{rows}.{cname}"
     # a column costs its text, " AS ", its name and ", ", and each read its
     # reference.  A text requested fewer times than that pays for is not
     # looked for: it is printed more often than requested only inside a
     # longer text printed more often, which is looked for first.
-    cost = len(tref) - skip + 6
-    # 1: a node that may pay for a column tK, 2: a row value; the column
-    # references come last
-    picks = {text: 1 for _, text, n, _ in memo.twice
-             if (n - 1) * len(text) > cost + n * len(tref) and ("(" in text or " " in text)}
+    cost = len(tname) + 6
+    # 1: a node that may pay for a column tK, 2: a row value, 3: both; the
+    # column references come last
+    picks = {}
+    for entry in twice:
+        text, n = entry[1], entry[2]
+        if (n - 1) * len(text) > cost + n * len(tref) and ("(" in text or " " in text):
+            picks[text] = 1
     for text in memo.row_values:
-        picks[text] = picks.get(text, 0) | 2
-    columns: list[tuple[str, str]] = []
+        picks[text] = 3 if text in picks else 2
+    items: list[str] = []
+    named = False
     # sorted is stable: texts of one length keep the order they were rendered in
     for text in sorted(picks, key=len, reverse=True):
-        if len(text) > len(outer):
-            continue
         kind = picks[text]
         if kind & 1:
             parts = outer.split(text)
             n = len(parts) - 1
             if n > 1 and (n - 1) * len(text) > cost + n * len(tref):
                 outer = tref.join(parts)
-                columns.append((tref[skip:], text))
+                items.append(f"{text} AS {tname}")
+                named = True
                 kt += 1
-                tref = trefs[kt]
-                cost = len(tref) - skip + 6
+                tname = f"t{kt}"
+                while tname in taken:
+                    kt += 1
+                    tname = f"t{kt}"
+                tref = f"{rows}.{tname}"
+                cost = len(tname) + 6
                 continue
-        if kind & 2:
-            put = outer.replace(text, cref)
-            if put is not outer:
-                outer = put
-                columns.append((cref[skip:], text))
+            if kind == 1 or n == 0:
+                continue
+        put = outer.replace(text, cref)
+        if put is not outer:
+            outer = put
+            items.append(f"{text} AS {cname}")
+            kc += 1
+            cname = f"c{kc}"
+            while cname in taken:
                 kc += 1
-                cref = crefs[kc]
-    if not kt:
+                cname = f"c{kc}"
+            cref = f"{rows}.{cname}"
+    if not named:
         return None
     # longest first, so that t.ab is gone before t.a is looked for
     for text in sorted(memo.cols, key=len, reverse=True):
         put = outer.replace(text, cref)
         if put is not outer:
             outer = put
-            columns.append((cref[skip:], text))
+            items.append(f"{text} AS {cname}")
             kc += 1
-            cref = crefs[kc]
-    return outer, columns
-
-
-# the names a statement adds when the query's tables, aliases and columns
-# hold none of them, as they nearly always do, and the references to them
-_PLAIN_NAMES = frozenset(("r", "g", "sub", "sdsg", *(f"{p}{k}" for p in "tc" for k in range(100))))
-_PLAIN_REFS = {p: tuple(f"r.{p}{k}" for k in range(100)) for p in "tc"}
+            cname = f"c{kc}"
+            while cname in taken:
+                kc += 1
+                cname = f"c{kc}"
+            cref = f"{rows}.{cname}"
+    return outer, items
 
 
 class _Names:
     """The names a statement adds: the derived tables `rows` and `sub`, the
     sensitivity column `sdsg`, the group key `group` and the columns tK and
-    cK, none equal (in any case) to a table or alias of the query or a
-    column of its tables."""
+    cK (`_share` numbers those past `taken`), none equal (in any case) to a
+    table or alias of the query, a column of its tables, or a name the
+    statement reads of a sensitive table."""
 
     def __init__(self, ctx: AnalysisContext):
         tables = ctx.schema.tables
-        self._taken = [frozenset(map(str.lower, ctx.aliases)),
-                       *[tables[t].lower_names for t in ctx.aliases.values()]]
-        plain = all(map(_PLAIN_NAMES.isdisjoint, self._taken))
-        self.rows, self.group, self.sub, self.sdsg = (
-            base if plain else self._fresh(base) for base in ("r", "g", "sub", "sdsg"))
-        self._refs = _PLAIN_REFS if plain else {"t": (), "c": ()}
-
-    def _free(self, name: str) -> bool:
-        return not any(name in names for names in self._taken)
-
-    def _fresh(self, base: str) -> str:
-        name, k = base, 0
-        while not self._free(name):
-            k += 1
-            name = f"{base}{k}"
-        return name
-
-    def refs(self, prefix: str, n: int) -> tuple[str, ...] | list[str]:
-        """At least n references rows.name, to the free names of the form
-        prefix + number in order."""
-        refs = self._refs[prefix]
-        if len(refs) < n:
-            refs, k = [], 0
-            while len(refs) < n:
-                if self._free(f"{prefix}{k}"):
-                    refs.append(f"{self.rows}.{prefix}{k}")
+        taken = {"id", "sensitive"}
+        for alias, table in ctx.aliases.items():
+            taken.update(map(str.lower, (alias, table, f"{table}_sensRows")))
+            taken.update(map(str.lower, tables[table].types))
+        self.taken = taken
+        fresh = []
+        for base in ("r", "g", "sub", "sdsg"):
+            name, k = base, 0
+            while name in taken:
                 k += 1
-            self._refs = {**self._refs, prefix: refs}
-        return refs
+                name = f"{base}{k}"
+            fresh.append(name)
+        self.rows, self.group, self.sub, self.sdsg = fresh
 
 
 def _public_conjuncts(ctx: AnalysisContext) -> list[str]:
@@ -792,21 +795,20 @@ def _rows_select(
     memo.scope += 1
     memo.cols, memo.row_values, memo.twice = {}, {}, []
     body = render(e, memo)
-    flat = f"SELECT {head}{body}{tail}{source}"
-    if group is not None:
-        flat += f" GROUP BY {group}"
+    grouped = "" if group is None else f" GROUP BY {group}"
     shared = _share(memo, body, names)
-    if shared is None:
-        return flat
-    outer, columns = shared
-    items = ", ".join([f"{text} AS {name}" for name, text in columns])
-    rows = names.rows
-    nested = f"SELECT {head}{outer}{tail} FROM (SELECT {items}"
-    if group is None:
-        nested += f"{source}) AS {rows}"
-    else:
-        nested += f", {group} AS {names.group}{source}) AS {rows} GROUP BY {rows}.{names.group}"
-    return nested if len(nested) < len(flat) else flat
+    if shared is not None:
+        outer, items = shared
+        rows = names.rows
+        nested = f"SELECT {head}{outer}{tail} FROM (SELECT {', '.join(items)}"
+        if group is None:
+            nested += f"{source}) AS {rows}"
+        else:
+            nested += f", {group} AS {names.group}{source}) AS {rows} GROUP BY {rows}.{names.group}"
+        # the flat statement is "SELECT " and the parts below
+        if len(nested) < 7 + len(head) + len(body) + len(tail) + len(source) + len(grouped):
+            return nested
+    return f"SELECT {head}{body}{tail}{source}{grouped}"
 
 
 def _emit_table_sensitivity(

@@ -701,12 +701,9 @@ class TableSchema:
     norm: NormExpr | None = None
     precisions: dict[str, float] = field(default_factory=dict)
     # Derived from the fields above by `derive`: the type of each column, the
-    # columns the norm makes sensitive, the names a statement over the table
-    # can read (lower case, as SQL compares them), and the norm over
-    # `alias.column` variables in normal form, which the analyzer fills in
-    # once per alias.
+    # columns the norm makes sensitive, and the norm over `alias.column`
+    # variables in normal form, which the analyzer fills in once per alias.
     types: dict[str, str] = field(init=False, repr=False, compare=False)
-    lower_names: frozenset[str] = field(init=False, repr=False, compare=False)
     sensitive_columns: frozenset[str] = field(init=False, repr=False, compare=False)
     normal_norms: dict[str, NormExpr] = field(init=False, repr=False, compare=False)
 
@@ -717,9 +714,6 @@ class TableSchema:
         """Recompute the derived facts; parse_schema calls this on every
         table when it finishes, so they follow a norm a norm file replaces."""
         self.types = dict(self.columns)
-        self.lower_names = frozenset(
-            map(str.lower, (self.name, f"{self.name}_sensRows", "ID", "sensitive", *self.types))
-        )
         self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
         self.normal_norms = {}
 

@@ -645,8 +645,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
     # looked for: it is printed more often than requested only inside a
     # longer text printed more often, which is looked for first.
     cost = len(tname) + 6
-    # 1: a node that may pay for a column tK, 2: a row value, 3: both; the
-    # column references come last
+    # 1: a node that may pay for a column tK, 2: a row value, 3: both
     picks = {}
     for entry in twice:
         text, n = entry[1], entry[2]
@@ -656,9 +655,11 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
         picks[text] = 3 if text in picks else 2
     items: list[str] = []
     named = False
-    # sorted is stable: texts of one length keep the order they were rendered in
-    for text in sorted(picks, key=len, reverse=True):
-        kind = picks[text]
+    # sorted is stable: texts of one length keep the order they were
+    # rendered in.  The column references come last, also longest first, so
+    # that t.ab is gone before t.a is looked for.
+    for text in [*sorted(picks, key=len, reverse=True), *sorted(memo.cols, key=len, reverse=True)]:
+        kind = picks.get(text, 2)
         if kind & 1:
             parts = outer.split(text)
             n = len(parts) - 1
@@ -686,21 +687,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
                 kc += 1
                 cname = f"c{kc}"
             cref = f"{rows}.{cname}"
-    if not named:
-        return None
-    # longest first, so that t.ab is gone before t.a is looked for
-    for text in sorted(memo.cols, key=len, reverse=True):
-        put = outer.replace(text, cref)
-        if put is not outer:
-            outer = put
-            items.append(f"{text} AS {cname}")
-            kc += 1
-            cname = f"c{kc}"
-            while cname in taken:
-                kc += 1
-                cname = f"c{kc}"
-            cref = f"{rows}.{cname}"
-    return outer, items
+    return (outer, items) if named else None
 
 
 class _Names:

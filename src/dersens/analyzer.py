@@ -51,8 +51,7 @@ from dersens.norms import (
     Scale,
     ScalingWitness,
     Var,
-    normalize,
-    scale_elaborate,
+    _fit_normal,
 )
 from dersens import sqlfront as sf
 from dersens.sqlfront import (
@@ -83,7 +82,6 @@ __all__ = [
     "emit_sql",
     "lower_aggregation",
     "render",
-    "table_norm",
 ]
 
 DELTA_KEY = "__span__"
@@ -169,12 +167,12 @@ class _Lowerer:
                     raise SchemaError("exponent must be a numeric literal")
                 return Power(lhs, e.rhs.value)
             rhs = self.scalar(e.rhs)
-            if e.op == "+":
-                return add(lhs, rhs)
-            if e.op == "-":
-                return sub(lhs, rhs)
-            if e.op == "*":
-                return mul(lhs, rhs)
+            fold = {"+": add, "-": sub, "*": mul}.get(e.op)
+            if fold is not None:
+                out = fold(lhs, rhs)
+                if isinstance(out, Const) and not math.isfinite(out.value):
+                    raise SchemaError(f"constant {sf.print_expr(e)} overflows")
+                return out
             if e.op == "/":
                 den_vars = ex.expr_vars(rhs)
                 if den_vars:
@@ -306,23 +304,6 @@ def lower_aggregation(
 # ---------------------------------------------------------------------------
 
 
-def _qualify_norm(n: NormExpr, alias: str) -> NormExpr:
-    if isinstance(n, Var):
-        return Var(f"{alias}.{n.name}")
-    if isinstance(n, Scale):
-        return Scale(n.factor, _qualify_norm(n.child, alias))
-    return Combine(n.p, tuple(_qualify_norm(c, alias) for c in n.children))
-
-
-def table_norm(ts: sf.TableSchema, alias: str) -> NormExpr:
-    """The declared norm of `ts` over `alias.column` variables, normalized;
-    computed once per alias and kept on the schema."""
-    ndb = ts.normal_norms.get(alias)
-    if ndb is None:
-        ndb = ts.normal_norms[alias] = normalize(_qualify_norm(ts.norm, alias))
-    return ndb
-
-
 def _count_occurrences(e: ScalarExpr, counts: dict[str, int]) -> None:
     if isinstance(e, Col):
         counts[e.name] = counts.get(e.name, 0) + 1
@@ -331,14 +312,15 @@ def _count_occurrences(e: ScalarExpr, counts: dict[str, int]) -> None:
         _count_occurrences(c, counts)
 
 
-def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWitness:
+def align_norms(counts: dict[str, int], ndb: NormExpr) -> ScalingWitness:
     """Fit the query's occurrence norm for one table under its declared norm.
 
-    `counts` holds how often each sensitive column occurs in the row
-    expression, `ndb` the table's norm over `alias.column` variables in
-    normal form (see `table_norm`).  The query norm takes one l1 slot per
-    occurrence of each of the alias's columns (the most conservative
-    combination, so the fit is always sound); the scaling witness then
+    `counts` holds how often each of the table's sensitive columns occurs in
+    the row expression, by bare column name, and `ndb` is the table's norm in
+    normal form (`TableSchema.normal_norm`).  The query norm takes one l1 slot
+    per occurrence of each column (the most conservative combination, so the
+    fit is always sound), built directly in normal form: k slots of one
+    column merge into that column scaled by k.  The scaling witness then
     carries the per-variable factors the sensitivity expressions divide by.
     Scaling is applied even when the unscaled query norm is already
     dominated, because any slack directly shrinks the noise.
@@ -348,14 +330,10 @@ def align_norms(counts: dict[str, int], alias: str, ndb: NormExpr) -> ScalingWit
     sums its partial derivatives over all k occurrences.  So
     `sum(t.a + t.a)` gets twice the sensitivity of `sum(2.0 * t.a)`.
     """
-    prefix = alias + "."
-    slots: list[NormExpr] = []
-    for v in sorted(v for v in counts if v.startswith(prefix)):
-        slots.extend([Var(v)] * counts[v])
+    slots = tuple(Var(c) if k == 1 else Scale(float(k), Var(c)) for c, k in sorted(counts.items()))
     if not slots:
         return ScalingWitness(var_scale={}, global_scale=1.0)
-    nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
-    return scale_elaborate(nq, ndb)
+    return _fit_normal(slots[0] if len(slots) == 1 else Combine(1.0, slots), ndb)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +374,12 @@ def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> Sensit
     scales: dict[str, float] = {}
     for alias in ctx.sensitive_aliases:
         ts = ctx.schema.table(ctx.aliases[alias])
-        witness = witnesses[alias] = align_norms(counts, alias, table_norm(ts, alias))
+        prefix = alias + "."
+        cols = {c: counts[prefix + c] for c in ts.sensitive_columns if prefix + c in counts}
+        w = align_norms(cols, ts.normal_norm)
+        witness = witnesses[alias] = ScalingWitness(
+            {prefix + c: f for c, f in w.var_scale.items()}, w.global_scale, w.method
+        )
         for v in sorted(witness.var_scale):
             scales[v] = witness.effective(v)
     env = ex.env_for_scales(scales, params.beta)

@@ -259,9 +259,11 @@ def normalize(n: NormExpr) -> NormExpr:
     """Canonical form: scales directly on variables, same-p nests flattened,
     repeated variables under one combinator merged, children sorted.
 
-    Merging k scaled occurrences of one variable at exponent p uses the
+    Merging k >= 2 scaled occurrences of one variable at exponent p uses the
     coefficient (sum_j a_j^p)^(1/p) (max for p = inf), which preserves the
-    evaluated function exactly.
+    evaluated function exactly.  A lone occurrence keeps its factor as it
+    is, since (a^p)^(1/p) may move its last bits; so normalizing a normal
+    form returns it unchanged.
     """
     n = _push_scale(1.0, n)
     return _normalize_pushed(n)
@@ -288,7 +290,7 @@ def _normalize_pushed(n: NormExpr) -> NormExpr:
             rest.append(c)
     merged: list[NormExpr] = []
     for name, coefs in by_var.items():
-        a = lp_norm(coefs, n.p)
+        a = coefs[0] if len(coefs) == 1 else lp_norm(coefs, n.p)
         merged.append(Var(name) if abs(a - 1.0) <= _EPS else Scale(a, Var(name)))
     out = sorted(merged + rest, key=_leaf_key)
     if len(out) == 1:
@@ -403,13 +405,15 @@ def _substitute_scales(n: NormExpr, factors: Mapping[str, float]) -> NormExpr:
     return Combine(n.p, tuple(_substitute_scales(c, factors) for c in n.children))
 
 
-def _check_var_cover(nq: NormExpr, ndb: NormExpr) -> None:
+def _normal_pair(nq: NormExpr, ndb: NormExpr) -> tuple[NormExpr, NormExpr]:
+    """Both norms in normal form, once ndb is checked to cover nq's variables."""
     missing = norm_vars(nq) - norm_vars(ndb)
     if missing:
         raise NormError(
             "query norm uses variables absent from the database norm: "
             + ", ".join(sorted(missing))
         )
+    return normalize(nq), normalize(ndb)
 
 
 def _min_merge(dst: dict[str, float], src: Mapping[str, float]) -> None:
@@ -609,8 +613,7 @@ def compare(nq: NormExpr, ndb: NormExpr) -> Comparison:
     hint naming the first subterm pair that could not be matched (the
     straightforward scaling method stays available as a complete fallback).
     """
-    nq, ndb = normalize(nq), normalize(ndb)
-    _check_var_cover(nq, ndb)
+    nq, ndb = _normal_pair(nq, ndb)
     matcher = _Matcher()
     factors = matcher.match(nq, ndb)
     steps = tuple(
@@ -635,13 +638,11 @@ def scale_straightforward(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     at the price of a conservative global factor when the envelope exponents
     disagree.
     """
-    nq, ndb = normalize(nq), normalize(ndb)
-    _check_var_cover(nq, ndb)
-    return _fit_envelopes(nq, ndb)
+    return _fit_envelopes(*_normal_pair(nq, ndb))
 
 
 def _fit_envelopes(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
-    """scale_straightforward on normalized norms."""
+    """scale_straightforward on normal forms whose variables ndb covers."""
     _, q_upper = hammer_bounds(nq)
     db_lower, _ = hammer_bounds(ndb)
     p, q = q_upper.exponent, db_lower.exponent
@@ -671,10 +672,12 @@ def scale_elaborate(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     it forces, so the minimum-weight choice maximizes the total scaling).
     Falls back to the straightforward method when matching fails.
     """
-    nnq, nndb = normalize(nq), normalize(ndb)
-    _check_var_cover(nnq, nndb)
-    matcher = _Matcher()
-    factors = matcher.match(nnq, nndb)
+    return _fit_normal(*_normal_pair(nq, ndb))
+
+
+def _fit_normal(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
+    """scale_elaborate on normal forms whose variables ndb covers."""
+    factors = _Matcher().match(nq, ndb)
     if factors is None:
-        return _fit_envelopes(nnq, nndb)
+        return _fit_envelopes(nq, ndb)
     return ScalingWitness(var_scale=dict(sorted(factors.items())), global_scale=1.0)

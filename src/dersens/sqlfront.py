@@ -23,7 +23,7 @@ from itertools import islice
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from dersens.norms import NormExpr, norm_vars, parse_norm
+from dersens.norms import NormExpr, norm_vars, normalize, parse_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -550,9 +550,12 @@ class _Parser:
         t = self._next()
         if t.kind == "num":
             try:
-                return Number(float(t.text))
+                value = float(t.text)
             except ValueError:
                 raise ParseError("bad numeric literal", t.pos, t.text) from None
+            if not math.isfinite(value):
+                raise ParseError("numeric literal out of range", t.pos, t.text)
+            return Number(value)
         if t.kind == "str":
             return StrLit(t.text)
         if t.text == "(":
@@ -701,11 +704,11 @@ class TableSchema:
     norm: NormExpr | None = None
     precisions: dict[str, float] = field(default_factory=dict)
     # Derived from the fields above by `derive`: the type of each column, the
-    # columns the norm makes sensitive, and the norm over `alias.column`
-    # variables in normal form, which the analyzer fills in once per alias.
+    # columns the norm makes sensitive, and the norm in normal form over bare
+    # column names, which the analyzer aligns each query against.
     types: dict[str, str] = field(init=False, repr=False, compare=False)
     sensitive_columns: frozenset[str] = field(init=False, repr=False, compare=False)
-    normal_norms: dict[str, NormExpr] = field(init=False, repr=False, compare=False)
+    normal_norm: NormExpr | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.derive()
@@ -715,7 +718,7 @@ class TableSchema:
         table when it finishes, so they follow a norm a norm file replaces."""
         self.types = dict(self.columns)
         self.sensitive_columns = norm_vars(self.norm) if self.norm is not None else frozenset()
-        self.normal_norms = {}
+        self.normal_norm = normalize(self.norm) if self.norm is not None else None
 
     def column_type(self, col: str) -> str | None:
         return self.types.get(col)

@@ -34,7 +34,6 @@ from dersens.analyzer import PlanParams, build_plan, emit_sql, lower_aggregation
 from dersens.exprs import Col, Opaque, eval_scalar
 from dersens.norms import (
     Combine, Scale, Var, eval_norm, norm_vars, normalize, parse_norm, print_norm, scale_elaborate,
-    scale_straightforward,
 )
 from dersens.sqlfront import load_database, parse_query, parse_schema, validate
 
@@ -150,8 +149,8 @@ def test_product_lowering_neutral_when_all_dropped():
 
 
 def test_align_identity_for_identical_norms():
-    w = an.align_norms({"t.a": 1}, "t", normalize(parse_norm("lp 1.0 t.a")))
-    assert w.var_scale == {"t.a": 1.0}
+    w = an.align_norms({"a": 1}, normalize(parse_norm("lp 1.0 a")))
+    assert w.var_scale == {"a": 1.0}
     assert w.global_scale == 1.0
 
 
@@ -169,7 +168,7 @@ def test_align_scaled_column_divides_ds():
 
 def test_align_regrouping_needs_no_scaling():
     # the row expression lp2(t.a, t.b) holds each column once
-    w = an.align_norms({"t.a": 1, "t.b": 1}, "t", normalize(parse_norm("lp 1.0 t.a t.b")))
+    w = an.align_norms({"a": 1, "b": 1}, normalize(parse_norm("lp 1.0 a b")))
     # one l1 slot per occurrence fits under the flat l1 norm unscaled
     assert all(s == pytest.approx(1.0) for s in w.var_scale.values())
 
@@ -188,11 +187,19 @@ def test_a_wide_norm_aligns_as_a_narrow_one(width):
     assert plan.beta_achieved == pytest.approx(0.22)
 
 
+def _qualify(n, alias):
+    if isinstance(n, Var):
+        return Var(f"{alias}.{n.name}")
+    if isinstance(n, Scale):
+        return Scale(n.factor, _qualify(n.child, alias))
+    return Combine(n.p, tuple(_qualify(c, alias) for c in n.children))
+
+
 def test_schema_normal_form_aligns_as_normalizing_per_query():
-    # oracle: alignment as it was, qualifying and normalizing the declared
-    # norm for every query and alias.  About 2% of the cases take the
-    # straightforward fallback, a few of them where one more normalizing
-    # pass would move a scale.
+    # oracle: alignment as it was, qualifying the declared norm with the
+    # alias and normalizing it, with one l1 slot per occurrence, for every
+    # query and alias.  About 2% of the cases take the straightforward
+    # fallback.
     rng = random.Random(11)
     cols = ["a", "b", "c", "d"]
     columns = "".join(f"col {c} real\n" for c in cols)
@@ -201,46 +208,42 @@ def test_schema_normal_form_aligns_as_normalizing_per_query():
         ts = parse_schema(f"table t\n{columns}norm {print_norm(norm)}\n").tables["t"]
         alias = rng.choice(["t", "t2", "lineitem", "_x", "Q"])
         used = sorted(norm_vars(norm))
-        counts = {f"{alias}.{v}": rng.randint(1, 3)
-                  for v in rng.sample(used, rng.randint(1, len(used)))}
-        slots = [Var(v) for v in sorted(counts) for _ in range(counts[v])]
+        counts = {v: rng.randint(1, 3) for v in rng.sample(used, rng.randint(1, len(used)))}
+        slots = [Var(f"{alias}.{v}") for v in sorted(counts) for _ in range(counts[v])]
         nq = slots[0] if len(slots) == 1 else Combine(1.0, tuple(slots))
-        old_ndb = normalize(an._qualify_norm(norm, alias))
-        ndb = an.table_norm(ts, alias)
-        assert ndb == old_ndb
-        assert an.table_norm(ts, alias) is ndb  # once per alias
-        expected = scale_elaborate(nq, old_ndb)
-        if expected.method == "straightforward":
-            expected = scale_straightforward(nq, old_ndb)  # the fallback as it was
-        assert an.align_norms(counts, alias, ndb) == expected
+        assert ts.normal_norm == normalize(norm)
+        w = an.align_norms(counts, ts.normal_norm)
+        w = dataclasses.replace(w, var_scale={f"{alias}.{v}": f for v, f in w.var_scale.items()})
+        assert w == scale_elaborate(nq, _qualify(norm, alias))
 
 
 def test_schema_facts_follow_a_norm_file():
     schema = parse_schema("table t\ncol a real\ncol b real\ncol s text\nnorm lp 1.0 a\n")
     ts = schema.tables["t"]
     assert ts.sensitive_columns == {"a"} and ts.column_type("s") == "text"
-    assert an.table_norm(ts, "t") == Var("t.a")
+    assert ts.normal_norm == Var("a")
     parse_schema("table t\nnorm lp 1.0 a (scaled 2.0 b)\n", base=schema)
     assert ts.sensitive_columns == {"a", "b"}
-    assert an.table_norm(ts, "t") == Combine(1.0, (Var("t.a"), Scale(2.0, Var("t.b"))))
+    assert ts.normal_norm == Combine(1.0, (Var("a"), Scale(2.0, Var("b"))))
     ctx = validate(parse_query("SELECT sum(t.b) FROM t"), schema)
     w, = (tp.witness for tp in build_plan(ctx, SOFT_PARAMS).table_plans)
     assert w.var_scale == {"t.b": 2.0}
     # a table built without parse_schema derives them as well
     built = sf.TableSchema("u", [("x", "int"), ("y", "real")], norm=Var("y"))
     assert built.sensitive_columns == {"y"} and built.column_type("x") == "int"
+    assert built.normal_norm == Var("y")
 
 
 def test_schema_facts_follow_a_norm_file_that_fails():
     schema = parse_schema("table t\ncol a real\ncol b real\nnorm lp 1.0 a\n")
     ts = schema.tables["t"]
     ctx = validate(parse_query("SELECT sum(t.a) FROM t"), schema)
-    build_plan(ctx, SOFT_PARAMS)  # fills the per-alias normal form
+    build_plan(ctx, SOFT_PARAMS)
     with pytest.raises(sf.SchemaError, match="line 3"):
         parse_schema("table t\nnorm lp 1.0 (scaled 2.0 b)\nbogus\n", base=schema)
     # the norm line took effect; every fact derived from the norm follows it
     assert ts.sensitive_columns == {"b"}
-    assert an.table_norm(ts, "t") == Scale(2.0, Var("t.b"))
+    assert ts.normal_norm == Scale(2.0, Var("b"))
     ctx = validate(parse_query("SELECT sum(t.b) FROM t"), schema)
     w, = (tp.witness for tp in build_plan(ctx, SOFT_PARAMS).table_plans)
     assert w.var_scale == {"t.b": 2.0}
@@ -340,8 +343,8 @@ def test_emitted_queries_match_goldens(name, sql):
 # Every golden, pinned byte for byte together with the plan's beta_achieved
 # and scaling witnesses.  The four shapes after b16 cover the norm-alignment
 # fallback, the exact integer lowering, a join of three sensitive tables and
-# a norm of several lp blocks (its lp 3 block is where normalizing twice and
-# once differ in the last bit of a scale).
+# a norm of several lp blocks (its lp 3 block holds a lone scaled variable,
+# whose factor normalizing keeps as declared, to the last bit).
 
 MULTI_BLOCK_SCHEMA = """\
 table m
@@ -418,6 +421,23 @@ def test_golden_shapes():
     assert all(tp.combined != ex.ZERO for tp in plans["join3_sensitive"].table_plans)
     tp, = plans["multi_block_norm"].table_plans
     assert tp.witness.method == "elaborate" and len(tp.witness.var_scale) == 3
+
+
+def test_planning_normalizes_no_norm(monkeypatch):
+    # a table's norm is normalized once, when its schema is read; planning
+    # aligns each query against that normal form as it stands, also on the
+    # straightforward fallback (or_not_fallback) and across three tables
+    from dersens import norms
+
+    cases = [(validate(parse_query(sql), parse_schema(schema_text)), params)
+             for schema_text, sql, params in GOLDEN_CASES.values()]
+
+    def refuse(n):
+        raise AssertionError(f"normalize({print_norm(n)}) while planning")
+
+    monkeypatch.setattr(norms, "normalize", refuse)
+    for ctx, params in cases:
+        build_plan(ctx, params)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,28 @@ def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, caps
     assert "logarithmic" not in err  # the norm grammar has no such metric
 
 
+@pytest.mark.parametrize("command", ["analyze", "run"])
+@pytest.mark.parametrize("text", [
+    "sum(lineitem.l_quantity * 1e309) from lineitem",
+    "sum(lineitem.l_quantity * (1e308 * 10)) from lineitem",
+    "sum(lineitem.l_quantity + 1e309) from lineitem",
+    "sum(lineitem.l_quantity) from lineitem where lineitem.l_quantity > 1e309",
+])
+def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, command):
+    # a literal beyond the doubles is a parse error, a fold that overflows
+    # a schema error: neither reaches the analysis or the SQL printer
+    query = _write(tmp_path / "q.sql", f"select {text};")
+    args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
+    if command == "run":
+        args += ["--data", bench_data, "--json"]
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "out of range" in err or "overflows" in err
+    assert out == ""
+
+
 def test_a_zero_term_times_an_infinite_cofactor_fails_closed(tmp_path, capsys):
     # at k = -200 and alpha = 5 the sigmoid's derivative underflows to 0,
     # and at beta = 1e-200 the value bounds of q and r are each about

@@ -146,6 +146,19 @@ def test_normalize_flattens_same_exponent():
     assert n == Combine(2.0, (Var("w"), Var("x"), Var("y"), Var("z")))
 
 
+def test_normalize_is_idempotent():
+    rng = random.Random(4)
+    for _ in range(500):
+        n = normalize(_random_norm(rng, ["x", "y", "z"], rng.randint(0, 3)))
+        assert normalize(n) == n, print_norm(n)
+
+
+def test_normalize_keeps_a_lone_scale_exactly():
+    # (0.1^3)^(1/3) is 0.10000000000000003: a lone variable keeps its factor
+    n = normalize(parse_norm("lp 3.0 (scaled 0.1 e) f"))
+    assert n == Combine(3.0, (Scale(0.1, Var("e")), Var("f")))
+
+
 def test_normalize_preserves_value():
     rng = random.Random(3)
     for _ in range(200):

@@ -7,9 +7,11 @@ everything on the local data, and release the result with generalized-Cauchy
 noise.
 
 Importing the package loads no numpy: the analysis (parse, lower, align
-norms, bound, emit SQL) is pure Python, and numpy is loaded only by the CSV
-loader, the engine, the noise sampler and `dersens.bench`.  The engine's
-functions are imported from `dersens.engine`.
+norms, bound, emit SQL) and the noise of a release are pure Python, and numpy
+is loaded only by the CSV loader, the engine, `dersens.bench` and the
+sampler's batches of more than one draw.  The noise bits come from BLAKE2b
+(`hashlib`) keyed by the seed.  The engine's functions are imported from
+`dersens.engine`.
 """
 
 from dersens.analyzer import (

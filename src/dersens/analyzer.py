@@ -141,6 +141,27 @@ class SensitivityPlan:
 # ---------------------------------------------------------------------------
 
 
+def _constant(node: ScalarExpr, e: SqlExpr) -> float | None:
+    """The value of `node`, lowered from `e`, when `e` reads no column (nan
+    where it is undefined); None when it reads one."""
+    if any(sf._walk_refs(e)):
+        return None
+    try:
+        return ex.eval_scalar(node, {})
+    except ex.EvalError:
+        return math.nan
+
+
+def _defined(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
+    """`node`, refused when `e` reads no column and has no finite value:
+    `run` would refuse it on every database.  A finite constant stays a
+    node, printed as it is written."""
+    value = _constant(node, e)
+    if value is not None and not math.isfinite(value):
+        raise SchemaError(f"constant {sf.print_expr(e)} overflows or is undefined")
+    return node
+
+
 class _Lowerer:
     def __init__(self, ctx: AnalysisContext, params: PlanParams):
         self.ctx = ctx
@@ -165,7 +186,7 @@ class _Lowerer:
             if e.op == "^":
                 if not isinstance(e.rhs, Number):
                     raise SchemaError("exponent must be a numeric literal")
-                return Power(lhs, e.rhs.value)
+                return _defined(Power(lhs, e.rhs.value), e)
             rhs = self.scalar(e.rhs)
             fold = {"+": add, "-": sub, "*": mul}.get(e.op)
             if fold is not None:
@@ -180,16 +201,19 @@ class _Lowerer:
                         "a denominator must read only public columns; rewrite the "
                         "query so it does not divide by " + ", ".join(sorted(den_vars))
                     )
-                return Div(lhs, rhs)
+                if _constant(rhs, e.rhs) == 0.0:
+                    raise SchemaError(f"{sf.print_expr(e)} divides by a constant 0: it overflows "
+                                      "or is undefined on every row")
+                return _defined(Div(lhs, rhs), e)
         if isinstance(e, FuncCall):
             if e.name == "abs" and len(e.args) == 1:
                 return abs_expr(self.scalar(e.args[0]))
             if e.name == "exp" and len(e.args) == 1:
-                return Exp(1.0, self.scalar(e.args[0]))
+                return _defined(Exp(1.0, self.scalar(e.args[0])), e)
             if e.name == "ln" and len(e.args) == 1:
-                return Ln(self.scalar(e.args[0]))
+                return _defined(Ln(self.scalar(e.args[0])), e)
             if e.name == "sqrt" and len(e.args) == 1:
-                return Power(self.scalar(e.args[0]), 0.5)
+                return _defined(Power(self.scalar(e.args[0]), 0.5), e)
             if e.name == "least" and e.args:
                 return Min(tuple(self.scalar(a) for a in e.args))
             if e.name == "greatest" and e.args:

@@ -83,8 +83,9 @@ def _noise_params(args, plan) -> NoiseParams:
 
 
 def _seed(args) -> int | None:
-    """--seed, else DERSENS_SEED, else None.  Noise and bench data are drawn
-    from a Philox stream, which takes no negative seed."""
+    """--seed, else DERSENS_SEED, else None.  The noise is drawn from a
+    BLAKE2b stream of the seed's bytes and bench data from numpy's Philox
+    stream; neither takes a negative seed."""
     if args.seed is not None:
         seed, source = args.seed, "--seed"
     elif (env := os.environ.get("DERSENS_SEED")) is not None:

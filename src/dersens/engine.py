@@ -109,10 +109,10 @@ def _like_regex(pattern: str) -> re.Pattern:
 def _pow(a, b):
     try:
         out = a**b
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise EngineError(f"power failed: {exc}") from None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise EngineError("power failed: it overflows or is undefined") from None
     if isinstance(out, complex):
-        raise EngineError(f"power failed: {a} ^ {b} is not real")
+        raise EngineError("power failed: a negative value to a non-integer power is not real")
     return out
 
 
@@ -129,7 +129,7 @@ def _call(name: str, *args):
         try:
             return math.log(args[0]) if name == "ln" else math.sqrt(args[0])
         except ValueError:
-            raise EngineError(f"{name} of {args[0]} is undefined") from None
+            raise EngineError(f"{name} of a value outside its domain is undefined") from None
     if name == "greatest":
         return max(args)
     if name == "least":
@@ -523,10 +523,10 @@ class _Compiler:
             def power(fr):
                 base = child(fr)
                 if e.r != round(e.r) and np.any(base < 0.0):
-                    raise EvalError(f"negative base {base.min()} with non-integer exponent {e.r}")
+                    raise EvalError(f"negative base with non-integer exponent {e.r}")
                 out = base**e.r
                 if np.any(np.isfinite(base) & ~np.isfinite(out)):
-                    raise EvalError(f"{e.r} power of a value in {base.min()}..{base.max()} overflows")
+                    raise EvalError(f"{e.r} power of a value overflows")
                 return out
 
             return power
@@ -535,7 +535,7 @@ class _Compiler:
                 x = e.rate * child(fr)
                 out = np.exp(x)
                 if np.any(np.isfinite(x) & np.isinf(out)):
-                    raise EvalError(f"exp overflows at {x.max()}")
+                    raise EvalError("exp overflows")
                 return out
 
             return exp
@@ -543,7 +543,7 @@ class _Compiler:
             def ln(fr):
                 v = child(fr)
                 if np.any(v <= 0.0):
-                    raise EvalError(f"ln of non-positive value {v.min()}")
+                    raise EvalError("ln of a non-positive value")
                 return np.log(v)
 
             return ln

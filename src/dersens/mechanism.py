@@ -8,11 +8,16 @@ on the derivative sensitivity and epsilon = (gamma+1) * (b + beta).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 __all__ = [
@@ -64,6 +69,9 @@ class NoiseParams:
         object.__setattr__(self, "b", derive_b(self.epsilon, self.beta, self.gamma))
 
 
+_WORDS = struct.Struct(">4Q")  # a 32-byte digest as four big-endian 64-bit words
+
+
 class GenCauchy:
     """Density 1/(Z (1+|x|^gamma)), sampled exactly by rejection.
 
@@ -87,32 +95,56 @@ class GenCauchy:
         return 1.0 / (self.z * (1.0 + np.abs(x) ** self.gamma))
 
     def sample(self, seed: int, n: int = 1) -> np.ndarray:
-        """n draws from the counter-based Philox stream of `seed`.
-
-        Candidate k reads uniforms 4k..4k+3 (branch, position, acceptance,
-        sign) whatever the batch size, so the draws for n are the first n of
-        the draws for any larger n."""
+        """The first n draws of the BLAKE2b stream of `seed`, as an array
+        (the stream is described at `_draws`)."""
         import numpy as np
 
+        return np.fromiter(itertools.islice(self._draws(seed), n), dtype=float, count=n)
+
+    def _draws(self, seed: int) -> Iterator[float]:
+        """The draws of `seed`, endlessly, one per accepted candidate.
+
+        Candidate k reads the four big-endian 64-bit words of BLAKE2b-256(s || k),
+        where s is the seed's shortest big-endian byte string (empty for 0)
+        and k is 8 bytes big-endian; k has a fixed width, so (seed, k) is
+        recovered from the message.  Each word w gives the uniform
+        (w >> 11) * 2^-53; the four are branch, position, acceptance and
+        sign.  Candidate k reads no other bits, so the draws for n are the
+        first n of the draws for any larger n."""
+        # hashlib loads OpenSSL (about 3 MB): imported here, not with the
+        # module, so that `import dersens` for an analysis does not load it
+        import hashlib
+
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         g = self.gamma
-        rng = np.random.Generator(np.random.Philox(seed))
-        out = np.empty(0)
-        while len(out) < n:
-            branch, pos, accept, sign = rng.random(((n - len(out)) * 3 // 2 + 16, 4)).T
+        body = (g - 1.0) / g  # the share of the envelope's mass on [0, 1]
+        tail = -1.0 / (g - 1.0)
+        key = hashlib.blake2b(seed.to_bytes((seed.bit_length() + 7) // 8, "big"), digest_size=32)
+        for k in itertools.count():
+            h = key.copy()
+            h.update(k.to_bytes(8, "big"))
+            branch, pos, accept, sign = [(w >> 11) * 2.0**-53 for w in _WORDS.unpack(h.digest())]
+            if branch < body:
+                x = pos
+            else:
+                try:
+                    x = (1.0 - pos) ** tail  # 1 - pos is at least 2^-53
+                except OverflowError:
+                    x = math.inf  # as IEEE arithmetic gives
             # min(x, 1/x)^gamma gives h/g as 1/(1+x^gamma) for x <= 1 and as
             # 1/(1+x^-gamma) above, never inf/inf: a tail draw that overflows
-            # to inf, or x = 0 with 1/x = inf, still gets a ratio in [1/2, 1]
-            with np.errstate(over="ignore", divide="ignore"):
-                x = np.where(branch < (g - 1.0) / g, pos, (1.0 - pos) ** (-1.0 / (g - 1.0)))
-                keep = accept < 1.0 / (1.0 + np.minimum(x, 1.0 / x) ** g)
-            out = np.concatenate([out, np.where(sign[keep] < 0.5, -x[keep], x[keep])])
-        return out[:n]
+            # to inf, or x = 0, still gets a ratio in [1/2, 1]
+            if accept < 1.0 / (1.0 + (x if x <= 1.0 else 1.0 / x) ** g):
+                yield -x if sign < 0.5 else x
 
 
 def sample(gamma: float, seed: int, n: int = 1) -> float | np.ndarray:
-    """Draw from the generalized Cauchy distribution; scalar for n=1."""
-    out = GenCauchy(gamma).sample(seed, n)
-    return float(out[0]) if n == 1 else out
+    """Draw from the generalized Cauchy distribution; scalar for n=1, which
+    imports no numpy."""
+    g = GenCauchy(gamma)
+    return next(g._draws(seed)) if n == 1 else g.sample(seed, n)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -501,6 +502,10 @@ def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, caps
     "sum(lineitem.l_quantity * (1e308 * 10)) from lineitem",
     "sum(lineitem.l_quantity + 1e309) from lineitem",
     "sum(lineitem.l_quantity) from lineitem where lineitem.l_quantity > 1e309",
+    "sum(lineitem.l_quantity * (10 ^ 400)) from lineitem",
+    "sum(lineitem.l_quantity * exp(1000)) from lineitem",
+    "sum(lineitem.l_quantity / (1 - 1)) from lineitem",
+    "sum(lineitem.l_quantity * ln(0)) from lineitem",
 ])
 def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, command):
     # a literal beyond the doubles is a parse error, a fold that overflows
@@ -515,6 +520,39 @@ def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, comma
     assert err.startswith("error: ")
     assert "out of range" in err or "overflows" in err
     assert out == ""
+
+
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+@pytest.mark.parametrize("text", [
+    "sum(exp(lineitem.l_quantity)) from lineitem where lineitem.l_shipdateG < 200",
+    "sum(ln(lineitem.l_orderkey - 1)) from lineitem",
+    "sum(lineitem.l_quantity * ((lineitem.l_orderkey - 5) ^ 0.5)) from lineitem",
+    "sum(lineitem.l_quantity * sqrt(lineitem.l_orderkey - 5)) from lineitem",
+    "sum(lineitem.l_quantity) from lineitem where (lineitem.l_orderkey - 1) ^ -1 > 2",
+], ids=["exp", "ln", "power-not-real", "sqrt", "power-of-zero"])
+def test_a_refused_release_prints_no_value_of_the_data(bench_data, tmp_path, capsys, text):
+    # row 1 is sensitive; its l_quantity 800 makes exp overflow, its
+    # l_orderkey 1 leaves ln and sqrt their domains: the error text may
+    # carry the query's own constants, no value read from the data
+    data = str(tmp_path / "data")
+    shutil.copytree(bench_data, data)
+    path = os.path.join(data, "lineitem.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, first = rows[0], rows[1]
+    assert first[header.index("ID")] == "1" and first[header.index("l_orderkey")] == "1"
+    first[header.index("l_quantity")], first[header.index("l_shipdateG")] = "800", "300"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    query = _write(tmp_path / "q.sql", f"select {text};")
+    capsys.readouterr()
+    assert main(["privatize", "--query", query, "--schema", os.path.join(data, "schema.txt"),
+                 "--data", data, "--json", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert {float(t) for t in _NUMBER.findall(err)} <= {float(t) for t in _NUMBER.findall(text)}
 
 
 def test_a_zero_term_times_an_infinite_cofactor_fails_closed(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -148,6 +150,46 @@ def test_fewer_draws_are_a_prefix_of_more(gamma):
     assert sample(gamma, seed=17) == many[0]
     for n in (2, 3, 20, 1000):
         assert np.array_equal(sample(gamma, seed=17, n=n), many[:n])
+
+
+def _blake2b_draws(gamma, seed, n):
+    # the documented stream, from hashlib alone: candidate k's uniforms are
+    # the four big-endian words of BLAKE2b-256(seed bytes || k as 8 bytes)
+    key = seed.to_bytes((seed.bit_length() + 7) // 8, "big")
+    out = []
+    for k in itertools.count():
+        if len(out) == n:
+            return out
+        digest = hashlib.blake2b(key + k.to_bytes(8, "big"), digest_size=32).digest()
+        branch, pos, accept, sign = (
+            (int.from_bytes(digest[i:i + 8], "big") >> 11) / 2**53 for i in range(0, 32, 8))
+        if branch < (gamma - 1.0) / gamma:
+            x = pos
+        else:
+            try:
+                x = (1.0 - pos) ** (-1.0 / (gamma - 1.0))
+            except OverflowError:
+                x = math.inf
+        ratio = 1.0 / (1.0 + min(x, 1.0 / x if x else math.inf) ** gamma)
+        if accept < ratio:
+            out.append(x if sign >= 0.5 else -x)
+
+
+@pytest.mark.parametrize("gamma", [1.0001, 1.5, 4.0])
+@pytest.mark.parametrize("seed", [0, 3, 2**128 - 1])
+def test_seeded_draws_follow_the_blake2b_stream(gamma, seed):
+    want = _blake2b_draws(gamma, seed, 20)
+    assert sample(gamma, seed) == want[0]
+    assert sample(gamma, seed, n=20).tolist() == want
+
+
+def test_seeds_whose_bytes_share_a_prefix_give_different_streams():
+    # 0, 1 and 256 are the byte strings b"", b"\x01" and b"\x01\x00";
+    # 2**64 and 2**64 + 1 share their first eight bytes
+    streams = [sample(4.0, seed, n=8).tolist() for seed in (0, 1, 256, 2**64, 2**64 + 1)]
+    for i, a in enumerate(streams):
+        for b in streams[i + 1:]:
+            assert all(x != y for x, y in zip(a, b))
 
 
 def test_tail_overflow_fails_closed():

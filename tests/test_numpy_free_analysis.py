@@ -1,7 +1,8 @@
-"""The analysis path (parse, lower, align norms, bound, emit SQL) imports no
-numpy: only the CSV loader, the engine, the noise sampler and `dersens.bench`
-load it.  Each check runs in a fresh interpreter, since this one has numpy
-loaded by other tests."""
+"""The analysis path (parse, lower, align norms, bound, emit SQL) and the
+release of a value (`mechanism.privatize`, one draw from a BLAKE2b stream)
+import no numpy: only the CSV loader, the engine, `dersens.bench` and the
+sampler's batches of more than one draw load it.  Each check runs in a fresh
+interpreter, since this one has numpy loaded by other tests."""
 
 import json
 import os
@@ -10,17 +11,19 @@ import sys
 
 from conftest import B1_1_SQL, B16_SQL, GOLDEN_DIR, LINEITEM_SCHEMA, TPCH_MINI_SCHEMA
 from dersens.cli import main
+from dersens.mechanism import NoiseParams, privatize
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 # Reads {"argv", "schema", "sql"} from stdin; prints the exit code and output
-# of `dersens <argv>`, the SQL that build_plan/emit_sql give for `sql`, and
-# whether numpy then fails to import.
+# of `dersens <argv>`, the SQL that build_plan/emit_sql give for `sql`, the
+# noised value of a seeded release, and whether numpy then fails to import.
 _CHILD = """\
 import contextlib, io, json, sys
 import dersens
 import dersens.cli
 from dersens import analyzer as an
+from dersens import mechanism
 from dersens import sqlfront as sf
 
 job = json.load(sys.stdin)
@@ -29,13 +32,14 @@ with contextlib.redirect_stdout(out):
     rc = dersens.cli.main(job["argv"])
 ctx = sf.validate(sf.parse_query(job["sql"]), sf.parse_schema(job["schema"]))
 modified, sensitivity = an.emit_sql(an.build_plan(ctx, an.PlanParams(beta=0.1, alpha=0.1)))
+noised = mechanism.privatize(100.0, 2.0, mechanism.NoiseParams(1.0, 0.1), seed=7).noised
 try:
     import numpy
     blocked = False
 except ImportError:
     blocked = True
 print(json.dumps({"rc": rc, "stdout": out.getvalue(), "modified": modified,
-                  "sensitivity": sensitivity, "numpy_blocked": blocked}))
+                  "sensitivity": sensitivity, "noised": noised, "numpy_blocked": blocked}))
 """
 
 
@@ -63,6 +67,7 @@ def test_analysis_runs_with_numpy_blocked(tmp_path, capsys):
     assert main(argv) == 0
     assert got["rc"] == 0
     assert got["stdout"] == capsys.readouterr().out
+    assert got["noised"] == privatize(100.0, 2.0, NoiseParams(1.0, 0.1), seed=7).noised
     for part in ("modified", "sensitivity"):
         with open(os.path.join(GOLDEN_DIR, f"b16_{part}.sql"), encoding="utf-8") as fh:
             assert got[part] + "\n" == fh.read()

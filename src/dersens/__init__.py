@@ -10,7 +10,8 @@ Importing the package loads no numpy: the analysis (parse, lower, align
 norms, bound, emit SQL) and the noise of a release are pure Python, and numpy
 is loaded only by the CSV loader, the engine, `dersens.bench` and the
 sampler's batches of more than one draw.  The noise bits come from BLAKE2b
-(`hashlib`) keyed by the seed.  The engine's functions are imported from
+keyed by the seed, taken from CPython's `_blake2` (which `hashlib.blake2b`
+is), so that no release loads OpenSSL.  The engine's functions are imported from
 `dersens.engine`.
 """
 

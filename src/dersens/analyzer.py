@@ -144,8 +144,11 @@ class SensitivityPlan:
 def _constant(node: ScalarExpr, e: SqlExpr) -> float | None:
     """The value of `node`, lowered from `e`, when `e` reads no column (nan
     where it is undefined); None when it reads one."""
-    if any(sf._walk_refs(e)):
-        return None
+    return None if any(sf._walk_refs(e)) else _value(node)
+
+
+def _value(node: ScalarExpr) -> float:
+    """The value of a node that reads no column, nan where it is undefined."""
     try:
         return ex.eval_scalar(node, {})
     except ex.EvalError:
@@ -159,6 +162,33 @@ def _defined(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
     value = _constant(node, e)
     if value is not None and not math.isfinite(value):
         raise SchemaError(f"constant {sf.print_expr(e)} overflows or is undefined")
+    return node
+
+
+def _reads_column(node: ScalarExpr) -> bool:
+    return isinstance(node, (Col, Opaque)) or any(map(_reads_column, ex._subexprs(node)))
+
+
+def _constant_operands(node: ScalarExpr, kind: type) -> list[ScalarExpr]:
+    """The operands of the chain of `kind` (Sum or Prod) that `node` heads,
+    nested nodes of that kind flattened, that read no column."""
+    if isinstance(node, kind):
+        return [c for k in node.children for c in _constant_operands(k, kind)]
+    return [] if _reads_column(node) else [node]
+
+
+def _folded(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
+    """`node`, lowered from the `+`, `-` or `*` node `e`, refused when the
+    constant operands of its sum or product have no finite sum or product:
+    `run` would then refuse the query, or not, by the values of the other
+    operands.  One constant operand alone was checked when it was lowered."""
+    if isinstance(node, (Sum, Prod)):
+        operands = _constant_operands(node, type(node))
+        part = type(node)(tuple(operands)) if len(operands) > 1 else None
+    else:
+        part = node if isinstance(node, Const) else None
+    if part is not None and not math.isfinite(_value(part)):
+        raise SchemaError(f"the constant part of {sf.print_expr(e)} overflows or is undefined")
     return node
 
 
@@ -190,10 +220,7 @@ class _Lowerer:
             rhs = self.scalar(e.rhs)
             fold = {"+": add, "-": sub, "*": mul}.get(e.op)
             if fold is not None:
-                out = fold(lhs, rhs)
-                if isinstance(out, Const) and not math.isfinite(out.value):
-                    raise SchemaError(f"constant {sf.print_expr(e)} overflows")
-                return out
+                return _folded(fold(lhs, rhs), e)
             if e.op == "/":
                 den_vars = ex.expr_vars(rhs)
                 if den_vars:

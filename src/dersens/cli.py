@@ -9,7 +9,6 @@ import argparse
 import functools
 import json
 import os
-import secrets
 import sys
 import tempfile
 
@@ -126,7 +125,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_report(args, with_noise: bool) -> dict:
+def _evaluate(args, analyst: bool) -> tuple:
+    """The plan, and the initial (analyst view only), modified and
+    sensitivity values with the sensitivity's breakdown on the data."""
     # imported here, not with the module, so that `analyze` loads no numpy;
     # calls go through the module, where a tracer that rebinds them sees them
     from dersens import engine as eng
@@ -137,11 +138,18 @@ def _run_report(args, with_noise: bool) -> dict:
     try:
         db = sf.load_database(args.data, ctx.schema, ctx.reads())
         rows = eng.public_rows(ctx, db)
-        initial = eng.run_initial(ctx, db, rows)
+        initial = eng.run_initial(ctx, db, rows) if analyst else None
         modified = eng.run_modified(plan, db, rows)
         sens, breakdown = eng.run_sensitivity(plan, db, rows)
     except (sf.SchemaError, eng.EngineError, EvalError) as exc:
         raise CliError(str(exc)) from None
+    return plan, initial, modified, sens, breakdown
+
+
+def _run_report(args) -> dict:
+    """The analyst's view: exact and modified values, the sensitivity and
+    its worst rows.  Nothing in it is private."""
+    plan, initial, modified, sens, breakdown = _evaluate(args, analyst=True)
     report = {
         "report_version": REPORT_VERSION,
         "initial": initial,
@@ -155,29 +163,38 @@ def _run_report(args, with_noise: bool) -> dict:
             {"table": b.table, "worst_row": b.argmax, "value": b.value}
             for b in breakdown
         ],
+        "private": False,
     }
     if sens == 0.0 and any("sensitive" in w for w in plan.warnings):
         report["warnings"].append("sensitivity is 0; nothing to protect?")
-    if with_noise:
-        params = _noise_params(args, plan)
-        seed = _seed(args)
-        # an unseeded release draws its seed from OS entropy and does not
-        # print it: with the seed a reader could recompute the noise
-        try:
-            rel = privatize(modified, sens, params, secrets.randbits(128) if seed is None else seed)
-        except InfeasibleParams as exc:
-            raise CliError(str(exc), EXIT_INFEASIBLE) from None
-        report.update({
-            "noised": rel.noised,
-            "epsilon": params.epsilon,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "b": params.b,
-            # a seed that was given can be given again, to recompute the noise
-            "private": seed is None,
-        })
-        if seed is not None:
-            report["seed"] = seed
+    return report
+
+
+def _release(args) -> dict:
+    """The noised value and the public parameters it was released under;
+    no value computed from the data is printed beside it."""
+    plan, _, modified, sens, _ = _evaluate(args, analyst=False)
+    params = _noise_params(args, plan)
+    seed = _seed(args)
+    # an unseeded release draws its seed from OS entropy and does not print
+    # it: with the seed a reader could recompute the noise
+    try:
+        rel = privatize(modified, sens, params,
+                        int.from_bytes(os.urandom(16), "big") if seed is None else seed)
+    except InfeasibleParams as exc:
+        raise CliError(str(exc), EXIT_INFEASIBLE) from None
+    report = {
+        "report_version": REPORT_VERSION,
+        "noised": rel.noised,
+        "epsilon": params.epsilon,
+        "beta": params.beta,
+        "gamma": params.gamma,
+        "b": params.b,
+        # a seed that was given can be given again, to recompute the noise
+        "private": seed is None,
+    }
+    if seed is not None:
+        report["seed"] = seed
     return report
 
 
@@ -197,12 +214,12 @@ def _print_report(report: dict, compact: bool) -> None:
 
 
 def cmd_run(args) -> int:
-    _print_report(_run_report(args, with_noise=False), args.json)
+    _print_report(_run_report(args), args.json)
     return EXIT_OK
 
 
 def cmd_privatize(args) -> int:
-    _print_report(_run_report(args, with_noise=True), args.json)
+    _print_report(_release(args), args.json)
     return EXIT_OK
 
 
@@ -221,7 +238,7 @@ def cmd_bench(args) -> int:
     args.query = query_path
     args.norm = None
     args.data = data_dir
-    report = _run_report(args, with_noise=False)
+    report = _run_report(args)
     report["rows"] = args.rows
     report["data_dir"] = data_dir
     _print_report(report, args.json)

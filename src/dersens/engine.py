@@ -523,10 +523,10 @@ class _Compiler:
             def power(fr):
                 base = child(fr)
                 if e.r != round(e.r) and np.any(base < 0.0):
-                    raise EvalError(f"negative base with non-integer exponent {e.r}")
+                    raise EvalError("a negative value to a non-integer power is not real")
                 out = base**e.r
                 if np.any(np.isfinite(base) & ~np.isfinite(out)):
-                    raise EvalError(f"{e.r} power of a value overflows")
+                    raise EvalError("a power of a value overflows")
                 return out
 
             return power

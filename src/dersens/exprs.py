@@ -528,11 +528,26 @@ def _identity_ubf(e: ScalarExpr, b: float) -> ScalarExpr:
     return IfGE(a, Const(1.0 / b), a, cap)
 
 
+def _cap_factor(k: float, r: float, b: float) -> Const:
+    """k (r / b)^r, the factor of a power's exponential cap below r / b; it
+    must be finite, or the cap would be inf."""
+    try:
+        value = k * (r / b) ** r
+    except OverflowError:
+        value = INF
+    if value == INF:
+        raise AnalysisError(
+            "the smooth bound of a power of sensitive data overflows the doubles; lower "
+            "the exponent, or raise --beta or the column's scale in the norm"
+        )
+    return Const(value)
+
+
 def _power_ubf(e: ScalarExpr, r: float, b: float) -> ScalarExpr:
     if r == 1.0:
         return _identity_ubf(e, b)
     a = abs_expr(e)
-    cap = mul(Exp(1.0, sub(mul(Const(b), a), Const(r))), Const((r / b) ** r))
+    cap = mul(Exp(1.0, sub(mul(Const(b), a), Const(r))), _cap_factor(1.0, r, b))
     return IfGE(a, Const(r / b), Power(a, r), cap)
 
 
@@ -541,7 +556,7 @@ def _power_ds_piece(e: ScalarExpr, r: float, b: float) -> ScalarExpr:
         return ONE
     a = abs_expr(e)
     main = mul(Const(r), Power(a, r - 1.0))
-    cap = mul(Exp(1.0, sub(mul(Const(b), a), Const(r - 1.0))), Const(r * ((r - 1.0) / b) ** (r - 1.0)))
+    cap = mul(Exp(1.0, sub(mul(Const(b), a), Const(r - 1.0))), _cap_factor(r, r - 1.0, b))
     return IfGE(a, Const((r - 1.0) / b), main, cap)
 
 

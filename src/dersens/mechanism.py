@@ -111,9 +111,10 @@ class GenCauchy:
         (w >> 11) * 2^-53; the four are branch, position, acceptance and
         sign.  Candidate k reads no other bits, so the draws for n are the
         first n of the draws for any larger n."""
-        # hashlib loads OpenSSL (about 3 MB): imported here, not with the
-        # module, so that `import dersens` for an analysis does not load it
-        import hashlib
+        # hashlib.blake2b is this very function, but `import hashlib` also
+        # loads OpenSSL (about 3.5 MB resident) for hashes no draw uses;
+        # imported here, not with the module, as an analysis draws nothing
+        from _blake2 import blake2b
 
         seed = operator.index(seed)
         if seed < 0:
@@ -121,7 +122,7 @@ class GenCauchy:
         g = self.gamma
         body = (g - 1.0) / g  # the share of the envelope's mass on [0, 1]
         tail = -1.0 / (g - 1.0)
-        key = hashlib.blake2b(seed.to_bytes((seed.bit_length() + 7) // 8, "big"), digest_size=32)
+        key = blake2b(seed.to_bytes((seed.bit_length() + 7) // 8, "big"), digest_size=32)
         for k in itertools.count():
             h = key.copy()
             h.update(k.to_bytes(8, "big"))

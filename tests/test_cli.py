@@ -227,7 +227,27 @@ def test_privatize_deterministic_and_prints_params(b1_1_inputs, capsys):
     assert first == second
     assert first["b"] == pytest.approx(0.1)
     assert (first["epsilon"], first["beta"], first["gamma"]) == (1.0, 0.1, 4.0)
-    assert first["noised"] != first["modified"]
+    assert main(["run", *args[1:]]) == 0
+    assert first["noised"] != json.loads(capsys.readouterr().out)["modified"]
+
+
+_RELEASE_KEYS = {"report_version", "noised", "epsilon", "beta", "gamma", "b", "private"}
+
+
+def test_privatize_prints_only_the_release(b1_1_inputs, capsys, monkeypatch):
+    # the analyst's view (`run`) holds the exact value, the sensitivity and
+    # the worst rows; a release prints none of them, and its seed only when
+    # one was given
+    monkeypatch.delenv("DERSENS_SEED", raising=False)
+    query, schema, data = b1_1_inputs
+    args = ["--query", query, "--schema", schema, "--data", data, "--alpha", "0.1", "--json"]
+    assert main(["privatize", *args]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == _RELEASE_KEYS
+    assert main(["privatize", *args, "--seed", "4"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == _RELEASE_KEYS | {"seed"}
+    assert main(["run", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["private"] is False and "noised" not in report
 
 
 def test_privatize_seed_from_environment(b1_1_inputs, capsys, monkeypatch):
@@ -255,7 +275,8 @@ def test_unseeded_privatize_is_not_deterministic(b1_1_inputs, capsys, monkeypatc
     first, second = releases
     assert first["noised"] != second["noised"]
     assert "seed" not in first and "seed" not in second
-    assert first["modified"] == second["modified"] and first["sensitivity"] > 0.0
+    assert main(["run", *args[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)["sensitivity"] > 0.0
     assert main(args + ["--seed", "42"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 42
 
@@ -336,12 +357,12 @@ def test_privatize_zero_sensitivity_is_exact(tmp_path, capsys):
     write_table(str(tmp_path), "t", ["a", "s"], [[1, "x"], [4, "x"]])
     schema = _write(tmp_path / "schema.txt", "table t\ncol a int\ncol s text\n")
     query = _write(tmp_path / "q.sql", "SELECT sum(t.a) FROM t")
-    code = main(["privatize", "--query", query, "--schema", schema,
-                 "--data", str(tmp_path), "--seed", "9", "--json"])
-    assert code == 0
+    args = ["--query", query, "--schema", schema, "--data", str(tmp_path), "--json"]
+    assert main(["run", *args]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["sensitivity"] == 0.0
-    assert report["noised"] == report["modified"]
+    assert main(["privatize", *args, "--seed", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["noised"] == report["modified"]
 
 
 @pytest.fixture(scope="module")
@@ -506,10 +527,15 @@ def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, caps
     "sum(lineitem.l_quantity * exp(1000)) from lineitem",
     "sum(lineitem.l_quantity / (1 - 1)) from lineitem",
     "sum(lineitem.l_quantity * ln(0)) from lineitem",
+    "sum(lineitem.l_quantity ^ 120) from lineitem",
+    "sum(lineitem.l_quantity * exp(700) * exp(700)) from lineitem",
+    "sum(lineitem.l_quantity + 1e308 + 1e308) from lineitem",
 ])
 def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, command):
-    # a literal beyond the doubles is a parse error, a fold that overflows
-    # a schema error: neither reaches the analysis or the SQL printer
+    # a literal beyond the doubles is a parse error, constant operands that
+    # overflow together a schema error (each exp(700) is finite, their
+    # product is not), a power whose smooth bound overflows an analysis
+    # error: none reaches the SQL printer or a traceback
     query = _write(tmp_path / "q.sql", f"select {text};")
     args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
     if command == "run":
@@ -632,8 +658,10 @@ def test_calls_in_one_process_share_only_the_parser(tmp_path, capsys, monkeypatc
 
     first = report(run)
     assert cli._build_parser() is cli._build_parser()
-    flagged = report(["privatize", *run[1:], "--seed", "7", "--precise", "--xor"])
+    flagged = report([*run, "--precise", "--xor"])
     assert flagged["modified"] != first["modified"]  # the flags matter here
+    assert report(run) == first
+    report(["privatize", *run[1:], "--seed", "7", "--precise", "--xor"])
     assert report(run) == first
 
     # bench rewrites the paths of its own arguments only; a later run reads its own

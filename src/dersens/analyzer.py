@@ -44,15 +44,7 @@ from dersens.exprs import (
     mul,
     sub,
 )
-from dersens.norms import (
-    INF,
-    Combine,
-    NormExpr,
-    Scale,
-    ScalingWitness,
-    Var,
-    _fit_normal,
-)
+from dersens.norms import INF, NormExpr, Scale, Var, norm_vars
 from dersens import sqlfront as sf
 from dersens.sqlfront import (
     AnalysisContext,
@@ -119,7 +111,7 @@ class TableSensPlan:
     combined: ScalarExpr  # per joined row, for this table's groups
     group_agg: str  # 'sum' or 'max' within a sensitive-row group
     rows_p: float  # declared row combiner; dual applied across groups
-    witness: ScalingWitness
+    scales: dict[str, float]  # s_v of each column the query reads, qualified
 
 
 @dataclass
@@ -171,23 +163,24 @@ def _reads_column(node: ScalarExpr) -> bool:
 
 def _constant_operands(node: ScalarExpr, kind: type) -> list[ScalarExpr]:
     """The operands of the chain of `kind` (Sum or Prod) that `node` heads,
-    nested nodes of that kind flattened, that read no column."""
+    nested nodes of that kind flattened, that read no column.  In a product,
+    a division by a constant is one operand: the constant operands of its
+    numerator over the denominator."""
     if isinstance(node, kind):
         return [c for k in node.children for c in _constant_operands(k, kind)]
+    if kind is Prod and isinstance(node, Div) and not _reads_column(node.den):
+        return [Div(Prod(tuple(_constant_operands(node.num, Prod))), node.den)]
     return [] if _reads_column(node) else [node]
 
 
 def _folded(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
-    """`node`, lowered from the `+`, `-` or `*` node `e`, refused when the
-    constant operands of its sum or product have no finite sum or product:
-    `run` would then refuse the query, or not, by the values of the other
-    operands.  One constant operand alone was checked when it was lowered."""
-    if isinstance(node, (Sum, Prod)):
-        operands = _constant_operands(node, type(node))
-        part = type(node)(tuple(operands)) if len(operands) > 1 else None
-    else:
-        part = node if isinstance(node, Const) else None
-    if part is not None and not math.isfinite(_value(part)):
+    """`node`, lowered from the `+`, `-`, `*` or `/` node `e`, refused when
+    the constant operands of the sum or product it heads (a quotient by a
+    constant is a product) have no finite sum or product: `run` would then
+    refuse the query, or not, by the values of the other operands."""
+    kind = Sum if isinstance(node, Sum) else Prod
+    operands = _constant_operands(node, kind)
+    if operands and not math.isfinite(_value(kind(tuple(operands)))):
         raise SchemaError(f"the constant part of {sf.print_expr(e)} overflows or is undefined")
     return node
 
@@ -231,7 +224,7 @@ class _Lowerer:
                 if _constant(rhs, e.rhs) == 0.0:
                     raise SchemaError(f"{sf.print_expr(e)} divides by a constant 0: it overflows "
                                       "or is undefined on every row")
-                return _defined(Div(lhs, rhs), e)
+                return _folded(_defined(Div(lhs, rhs), e), e)
         if isinstance(e, FuncCall):
             if e.name == "abs" and len(e.args) == 1:
                 return abs_expr(self.scalar(e.args[0]))
@@ -355,36 +348,38 @@ def lower_aggregation(
 # ---------------------------------------------------------------------------
 
 
-def _count_occurrences(e: ScalarExpr, counts: dict[str, int]) -> None:
-    if isinstance(e, Col):
-        counts[e.name] = counts.get(e.name, 0) + 1
-        return
-    for c in ex._subexprs(e):
-        _count_occurrences(c, counts)
+def align_norms(cols: frozenset[str], ndb: NormExpr) -> dict[str, float]:
+    """Scales s_v that fit the query columns `cols` of one table under its
+    declared norm `ndb`, in normal form (`TableSchema.normal_norm`), by
+    bare column name.
 
-
-def align_norms(counts: dict[str, int], ndb: NormExpr) -> ScalingWitness:
-    """Fit the query's occurrence norm for one table under its declared norm.
-
-    `counts` holds how often each of the table's sensitive columns occurs in
-    the row expression, by bare column name, and `ndb` is the table's norm in
-    normal form (`TableSchema.normal_norm`).  The query norm takes one l1 slot
-    per occurrence of each column (the most conservative combination, so the
-    fit is always sound), built directly in normal form: k slots of one
-    column merge into that column scaled by k.  The scaling witness then
-    carries the per-variable factors the sensitivity expressions divide by.
-    Scaling is applied even when the unscaled query norm is already
-    dominated, because any slack directly shrinks the noise.
-
-    A column that occurs k times is charged about k^2 times instead of k:
-    its k slots shrink its scale to about 1/k, and `exprs.analyze` already
-    sums its partial derivatives over all k occurrences.  So
-    `sum(t.a + t.a)` gets twice the sensitivity of `sum(2.0 * t.a)`.
+    The query norm is the flat l1 of the scaled columns, and it fits
+    exactly when sum_v s_v |x_v| <= N(x) for every x, that is when the
+    dual norm N*(s) is at most 1.  The scales are a top-down dual budget:
+    the root has budget 1, `scaled a` multiplies it by a, and an lp block
+    gives each of its m children that hold a query column the budget
+    m^(-1/q), 1/p + 1/q = 1, times its own (the whole of it under an l1
+    block).  A leaf's budget is its column's scale, so N*(s) = 1.  A column
+    that occurs more than once in `ndb` takes its smallest budget, which is
+    sound since the dual tree map is monotone.  Each column is charged
+    once, however often the query reads it: `exprs.analyze` sums its
+    partial derivatives over every occurrence.
     """
-    slots = tuple(Var(c) if k == 1 else Scale(float(k), Var(c)) for c, k in sorted(counts.items()))
-    if not slots:
-        return ScalingWitness(var_scale={}, global_scale=1.0)
-    return _fit_normal(slots[0] if len(slots) == 1 else Combine(1.0, slots), ndb)
+    scales: dict[str, float] = {}
+    _spend(ndb, 1.0, cols, scales)
+    return dict(sorted(scales.items()))
+
+
+def _spend(n: NormExpr, budget: float, cols: frozenset[str], scales: dict[str, float]) -> None:
+    if isinstance(n, Var):
+        if n.name in cols:
+            scales[n.name] = min(budget, scales.get(n.name, INF))
+    elif isinstance(n, Scale):
+        _spend(n.child, budget * n.factor, cols, scales)
+    else:
+        kids = [c for c in n.children if not cols.isdisjoint(norm_vars(c))]
+        for c in kids:
+            _spend(c, budget * len(kids) ** (1.0 / n.p - 1.0), cols, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +411,22 @@ def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> Sensit
         low.opaques[DELTA_KEY] = OpaqueSpec("span", expr=f)
     row_expr = lower_aggregation(agg, f, sigma, span)
 
-    # one witness per sensitive table, one smooth analysis for the whole row
-    # under the witness-scaled query norm lp 1 (scaled s_v v) ..., one slot per
-    # column of each table, at the scale s_v the witness gives it
-    counts: dict[str, int] = {}
-    _count_occurrences(row_expr, counts)
-    witnesses: dict[str, ScalingWitness] = {}
+    # one set of scales per sensitive table, one smooth analysis for the
+    # whole row under the scaled query norm lp 1 (scaled s_v v) ..., one slot
+    # per column of each table that the row reads
+    used = ex.expr_vars(row_expr)
+    table_scales: dict[str, dict[str, float]] = {}
     scales: dict[str, float] = {}
     for alias in ctx.sensitive_aliases:
         ts = ctx.schema.table(ctx.aliases[alias])
         prefix = alias + "."
-        cols = {c: counts[prefix + c] for c in ts.sensitive_columns if prefix + c in counts}
-        w = align_norms(cols, ts.normal_norm)
-        witness = witnesses[alias] = ScalingWitness(
-            {prefix + c: f for c, f in w.var_scale.items()}, w.global_scale, w.method
-        )
-        for v in sorted(witness.var_scale):
-            scales[v] = witness.effective(v)
+        cols = frozenset(c for c in ts.sensitive_columns if prefix + c in used)
+        fit = align_norms(cols, ts.normal_norm)
+        table_scales[alias] = {prefix + c: f for c, f in fit.items()}
+        scales.update(table_scales[alias])
     env = ex.env_for_scales(scales, params.beta)
 
-    leftover = counts.keys() - scales.keys()
+    leftover = used - scales.keys()
     if leftover:
         raise SchemaError(
             "sensitive columns without a norm declaration: " + ", ".join(sorted(leftover))
@@ -448,10 +439,9 @@ def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> Sensit
     warnings: list[str] = []
     table_plans: list[TableSensPlan] = []
     for alias in ctx.sensitive_aliases:
-        witness = witnesses[alias]
         table = ctx.aliases[alias]
         ts = ctx.schema.table(table)
-        terms = [bound.ds.get(v, ex.ZERO) for v in sorted(witness.var_scale)]
+        terms = [bound.ds.get(v, ex.ZERO) for v in table_scales[alias]]
         terms = [d for d in terms if d != ex.ZERO]
         if len(terms) > 1:
             combined = ex._fold_max([abs_expr(d) for d in terms])
@@ -467,7 +457,7 @@ def build_plan(ctx: AnalysisContext, params: PlanParams | None = None) -> Sensit
             combined = mul(abs_expr(combined), pb)
         group_agg = "max" if agg in ("MIN", "MAX") else "sum"
         table_plans.append(
-            TableSensPlan(alias, table, combined, group_agg, ts.rows_p, witness)
+            TableSensPlan(alias, table, combined, group_agg, ts.rows_p, table_scales[alias])
         )
 
     # only the rates of the sensitivity terms: the mechanism needs the released

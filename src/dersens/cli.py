@@ -118,8 +118,8 @@ def cmd_analyze(args) -> int:
     print(f"-- achieved beta: {plan.beta_achieved:.6g} "
           f"(requested {args.beta:.6g}); b = {params.b:.6g}")
     for tp in plan.table_plans:
-        scales = ", ".join(f"{v}={s:.6g}" for v, s in sorted(tp.witness.var_scale.items()))
-        print(f"-- scaling for {tp.table}: global {tp.witness.global_scale:.6g}; {scales}")
+        scales = ", ".join(f"{v}={s:.6g}" for v, s in tp.scales.items()) or "none"
+        print(f"-- scaling for {tp.table}: {scales}")
     for w in plan.warnings:
         print(f"-- warning: {w}")
     return EXIT_OK

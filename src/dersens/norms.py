@@ -1,9 +1,11 @@
 """Composite seminorms over named variables: parsing, evaluation, comparison, rescaling.
 
 A norm is a tree of variables, positive scalings and nested lp combinators.
-Every table declares one such norm over its numeric columns; the analyzer
-compares the norm a query naturally lives in against the declared one and
-rescales variables until the query norm is dominated by the declared norm.
+Every table declares one such norm over its numeric columns, and the schema
+reader keeps its normal form, which `analyzer.align_norms` fits each query's
+columns under in closed form.  The structural comparison and the paper's two
+scaling methods (`compare`, `scale_elaborate`, `scale_straightforward`) fit
+one norm tree under another by search; no release calls them.
 """
 
 from __future__ import annotations
@@ -642,7 +644,8 @@ def scale_straightforward(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
 
 
 def _fit_envelopes(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
-    """scale_straightforward on normal forms whose variables ndb covers."""
+    """scale_straightforward on normal forms whose variables ndb covers, so
+    that scale_elaborate's fallback normalizes neither norm twice."""
     _, q_upper = hammer_bounds(nq)
     db_lower, _ = hammer_bounds(ndb)
     p, q = q_upper.exponent, db_lower.exponent
@@ -672,11 +675,7 @@ def scale_elaborate(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
     it forces, so the minimum-weight choice maximizes the total scaling).
     Falls back to the straightforward method when matching fails.
     """
-    return _fit_normal(*_normal_pair(nq, ndb))
-
-
-def _fit_normal(nq: NormExpr, ndb: NormExpr) -> ScalingWitness:
-    """scale_elaborate on normal forms whose variables ndb covers."""
+    nq, ndb = _normal_pair(nq, ndb)
     factors = _Matcher().match(nq, ndb)
     if factors is None:
         return _fit_envelopes(nq, ndb)

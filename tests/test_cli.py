@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     B1_1_SQL,
-    B16_SQL,
     LINEITEM_COLS,
     LINEITEM_SCHEMA,
     TPCH_MINI_SCHEMA,
@@ -65,17 +64,20 @@ def test_analyze_writes_sql_files(b1_1_inputs, tmp_path, capsys):
 
 
 def test_analyze_infeasible_beta_exits_2(tmp_path, capsys):
+    # a sigmoid of l_quantity (scale 1) at alpha 0.5 moves at 0.5 in log per
+    # unit of the norm, above the requested beta 0.1
     schema = _write(tmp_path / "schema.txt", TPCH_MINI_SCHEMA)
-    query = _write(tmp_path / "q.sql", B16_SQL)
+    query = _write(tmp_path / "q.sql",
+                   "select count(*) from lineitem where lineitem.l_quantity > 25.5;")
     code = main(["analyze", "--query", query, "--schema", schema,
-                 "--alpha", "0.1", "--epsilon", "1.0"])
+                 "--alpha", "0.5", "--epsilon", "1.0"])
     err = capsys.readouterr().err
     assert code == 2
     assert "epsilon must exceed" in err
-    assert "beta=0.8" in err
-    # raising epsilon to the reported minimum makes it feasible
+    assert "beta=0.5" in err
+    # raising epsilon to (gamma + 1) * (b + beta) = 5 * (0.1 + 0.5) makes it feasible
     code = main(["analyze", "--query", query, "--schema", schema,
-                 "--alpha", "0.1", "--epsilon", "4.5"])
+                 "--alpha", "0.5", "--epsilon", "3.0"])
     assert code == 0
 
 
@@ -486,7 +488,7 @@ def test_a_public_subexpression_is_a_data_constant(bench_data, tmp_path, capsys,
     db = sf.load_database(bench_data, schema)
     plan = build_plan(sf.validate(sf.parse_query(sql), schema), PlanParams())
     tp, = plan.table_plans
-    scale = tp.witness.effective("lineitem.l_quantity")
+    scale = tp.scales["lineitem.l_quantity"]
     quantity = db.tables["lineitem"].columns["l_quantity"]
     h, fd = 1e-3, 0.0
     for row in np.flatnonzero(db.tables["lineitem"].sensitive):
@@ -530,12 +532,15 @@ def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, caps
     "sum(lineitem.l_quantity ^ 120) from lineitem",
     "sum(lineitem.l_quantity * exp(700) * exp(700)) from lineitem",
     "sum(lineitem.l_quantity + 1e308 + 1e308) from lineitem",
+    "sum(lineitem.l_quantity * exp(700) / 1e-10) from lineitem",
+    "sum(lineitem.l_quantity / 1e-310 * exp(700)) from lineitem",
 ])
 def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, command):
     # a literal beyond the doubles is a parse error, constant operands that
     # overflow together a schema error (each exp(700) is finite, their
-    # product is not), a power whose smooth bound overflows an analysis
-    # error: none reaches the SQL printer or a traceback
+    # product is not, nor is exp(700) over 1e-10), a power whose smooth
+    # bound overflows an analysis error: none reaches the SQL printer or a
+    # traceback
     query = _write(tmp_path / "q.sql", f"select {text};")
     args = ["--query", query, "--schema", os.path.join(bench_data, "schema.txt")]
     if command == "run":

@@ -104,11 +104,14 @@ def cmd_analyze(args) -> int:
     params = _noise_params(args, plan)  # aborts with exit 2 when infeasible
     modified, sensitivity = an.emit_sql(plan)
     if args.emit_sql:
-        os.makedirs(args.emit_sql, exist_ok=True)
-        with open(os.path.join(args.emit_sql, "modified.sql"), "w") as fh:
-            fh.write(modified + "\n")
-        with open(os.path.join(args.emit_sql, "sensitivity.sql"), "w") as fh:
-            fh.write(sensitivity + "\n")
+        try:
+            os.makedirs(args.emit_sql, exist_ok=True)
+            with open(os.path.join(args.emit_sql, "modified.sql"), "w") as fh:
+                fh.write(modified + "\n")
+            with open(os.path.join(args.emit_sql, "sensitivity.sql"), "w") as fh:
+                fh.write(sensitivity + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write the SQL files to {args.emit_sql}: {exc}") from None
         print(f"wrote modified.sql and sensitivity.sql to {args.emit_sql}")
     else:
         print("-- modified query")
@@ -179,13 +182,13 @@ def _release(args) -> dict:
     # an unseeded release draws its seed from OS entropy and does not print
     # it: with the seed a reader could recompute the noise
     try:
-        rel = privatize(modified, sens, params,
-                        int.from_bytes(os.urandom(16), "big") if seed is None else seed)
+        noised = privatize(modified, sens, params,
+                           int.from_bytes(os.urandom(16), "big") if seed is None else seed)
     except InfeasibleParams as exc:
         raise CliError(str(exc), EXIT_INFEASIBLE) from None
     report = {
         "report_version": REPORT_VERSION,
-        "noised": rel.noised,
+        "noised": noised,
         "epsilon": params.epsilon,
         "beta": params.beta,
         "gamma": params.gamma,
@@ -230,10 +233,13 @@ def cmd_bench(args) -> int:
         raise CliError(f"--rows must be at least 1, got {args.rows}")
     data_dir = args.data or tempfile.mkdtemp(prefix="dersens_bench_")
     seed = _seed(args)
-    bn.write_dataset(data_dir, rows=args.rows, seed=0 if seed is None else seed)
     query_path = os.path.join(data_dir, "b1_1.sql")
-    with open(query_path, "w") as fh:
-        fh.write(bn.B1_1_QUERY)
+    try:
+        bn.write_dataset(data_dir, rows=args.rows, seed=0 if seed is None else seed)
+        with open(query_path, "w") as fh:
+            fh.write(bn.B1_1_QUERY)
+    except OSError as exc:
+        raise CliError(f"cannot write the bench data to {data_dir}: {exc}") from None
     args.schema = os.path.join(data_dir, "schema.txt")
     args.query = query_path
     args.norm = None
@@ -257,10 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False):
-        p.add_argument("--query", help="SQL query file")
-        p.add_argument("--schema", help="schema file (tables, columns, norms)")
-        p.add_argument("--norm", help="optional norm file overriding schema norms")
+    # bench writes its own query and schema, so it takes no input files
+    def common(p, inputs=True, data=False):
+        if inputs:
+            p.add_argument("--query", help="SQL query file")
+            p.add_argument("--schema", help="schema file (tables, columns, norms)")
+            p.add_argument("--norm", help="optional norm file overriding schema norms")
         if data:
             p.add_argument("--data", help="directory with <table>.csv and <table>_sensRows.csv")
         p.add_argument("--epsilon", type=float, default=1.0, help="privacy level (default 1.0)")
@@ -292,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_privatize)
 
     p = sub.add_parser("bench", help="generate seeded micro data and run the benchmark query")
-    common(p, data=True)
+    common(p, inputs=False, data=True)
     p.add_argument("--rows", type=int, default=1000, help="lineitem rows")
     p.set_defaults(func=cmd_bench)
     return ap

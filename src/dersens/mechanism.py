@@ -24,7 +24,6 @@ __all__ = [
     "GenCauchy",
     "InfeasibleParams",
     "NoiseParams",
-    "Release",
     "derive_b",
     "privatize",
     "sample",
@@ -148,29 +147,15 @@ def sample(gamma: float, seed: int, n: int = 1) -> float | np.ndarray:
     return next(g._draws(seed)) if n == 1 else g.sample(seed, n)
 
 
-@dataclass(frozen=True)
-class Release:
-    """A private release with full provenance: noised = raw + (c/b) * eta."""
-
-    raw: float
-    sensitivity: float
-    params: NoiseParams
-    noise: float
-    noised: float
-    seed: int
-
-
-def privatize(raw: float, c: float, params: NoiseParams, seed: int) -> Release:
-    """Add generalized-Cauchy noise scaled by the smooth sensitivity bound.
+def privatize(raw: float, c: float, params: NoiseParams, seed: int) -> float:
+    """The noised value raw + (c/b) * eta: generalized-Cauchy noise scaled
+    by the smooth sensitivity bound.
 
     Raises InfeasibleParams when the noised value is not finite, as when a
     tail draw overflows at gamma close to 1."""
     if not math.isfinite(c) or c < 0.0:
         raise ValueError(f"sensitivity must be finite and non-negative, got {c}")
-    eta = sample(params.gamma, seed)
-    noise = (c / params.b) * eta
-    noised = raw + noise
+    noised = raw + (c / params.b) * sample(params.gamma, seed)
     if not math.isfinite(noised):
         raise InfeasibleParams(f"the noised value is not finite at gamma={params.gamma}")
-    return Release(raw=raw, sensitivity=c, params=params, noise=noise, noised=noised,
-                   seed=seed)
+    return noised

@@ -350,9 +350,31 @@ def test_bench_takes_more_than_5000_rows(capsys, tmp_path):
         assert sum(1 for _ in fh) == 6001
 
 
-def test_bench_rejects_non_positive_rows(capsys, tmp_path):
-    assert main(["bench", "--rows", "0", "--data", str(tmp_path / "bench")]) == 1
-    assert "--rows" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value, code", [
+    ("--rows", "0", 1),
+    # bench writes its own query, schema and norm: argparse refuses these flags
+    ("--query", "x", 2),
+], ids=["rows-0", "query"])
+def test_bench_rejects_a_bad_argument(capsys, tmp_path, flag, value, code):
+    try:
+        got = main(["bench", flag, value, "--data", str(tmp_path / "bench")])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "bench"])
+def test_an_output_path_that_is_a_file_exits_1(b1_1_inputs, capsys, tmp_path, command):
+    query, schema, _ = b1_1_inputs
+    taken = _write(tmp_path / "taken", "")
+    if command == "analyze":
+        args = ["analyze", "--query", query, "--schema", schema, "--emit-sql", taken]
+    else:
+        args = ["bench", "--rows", "20", "--data", taken]
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and taken in out.err
 
 
 def test_privatize_zero_sensitivity_is_exact(tmp_path, capsys):

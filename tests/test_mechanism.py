@@ -206,14 +206,13 @@ def test_tail_overflow_fails_closed():
 
 def test_zero_sensitivity_releases_exactly():
     p = NoiseParams(1.0, 0.1)
-    assert privatize(42.0, 0.0, p, seed=5).noised == 42.0
+    assert privatize(42.0, 0.0, p, seed=5) == 42.0
 
 
 def test_noise_scales_with_sensitivity_over_b():
     p = NoiseParams(1.0, 0.1)
     eta = sample(4.0, seed=11)
-    rel = privatize(100.0, 1.0, p, seed=11)
-    assert rel.noised == pytest.approx(100.0 + 10.0 * eta)
+    assert privatize(100.0, 1.0, p, seed=11) == pytest.approx(100.0 + 10.0 * eta)
 
 
 def test_release_reproducible():

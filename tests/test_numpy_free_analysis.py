@@ -1,8 +1,10 @@
 """The analysis path (parse, lower, align norms, bound, emit SQL) and the
 release of a value (`mechanism.privatize`, one draw from a BLAKE2b stream)
 import no numpy: only the CSV loader, the engine, `dersens.bench` and the
-sampler's batches of more than one draw load it.  Each check runs in a fresh
-interpreter, since this one has numpy loaded by other tests."""
+sampler's batches of more than one draw load it.  The package itself
+re-exports nothing, so importing it loads none of its modules, and a draw
+loads only `dersens.mechanism`.  Each check runs in a fresh interpreter,
+since this one has numpy and the package's modules loaded by other tests."""
 
 import json
 import os
@@ -32,7 +34,7 @@ with contextlib.redirect_stdout(out):
     rc = dersens.cli.main(job["argv"])
 ctx = sf.validate(sf.parse_query(job["sql"]), sf.parse_schema(job["schema"]))
 modified, sensitivity = an.emit_sql(an.build_plan(ctx, an.PlanParams(beta=0.1, alpha=0.1)))
-noised = mechanism.privatize(100.0, 2.0, mechanism.NoiseParams(1.0, 0.1), seed=7).noised
+noised = mechanism.privatize(100.0, 2.0, mechanism.NoiseParams(1.0, 0.1), seed=7)
 try:
     import numpy
     blocked = False
@@ -67,7 +69,7 @@ def test_analysis_runs_with_numpy_blocked(tmp_path, capsys):
     assert main(argv) == 0
     assert got["rc"] == 0
     assert got["stdout"] == capsys.readouterr().out
-    assert got["noised"] == privatize(100.0, 2.0, NoiseParams(1.0, 0.1), seed=7).noised
+    assert got["noised"] == privatize(100.0, 2.0, NoiseParams(1.0, 0.1), seed=7)
     for part in ("modified", "sensitivity"):
         with open(os.path.join(GOLDEN_DIR, f"b16_{part}.sql"), encoding="utf-8") as fh:
             assert got[part] + "\n" == fh.read()
@@ -78,3 +80,23 @@ def test_importing_the_package_loads_no_numpy():
     modules = json.loads(out)
     assert "dersens.cli" in modules
     assert "numpy" not in modules
+
+
+_DRAW = """\
+import json, sys
+import dersens
+package = sorted(sys.modules)
+from dersens import mechanism
+mechanism.sample(4.0, 0)
+print(json.dumps({"package": package, "draw": sorted(sys.modules)}))
+"""
+
+
+def test_the_package_loads_no_module_and_a_draw_only_the_mechanism():
+    got = json.loads(_python(_DRAW, []))
+    assert [m for m in got["package"] if m.startswith("dersens.")] == []
+    loaded = set(got["draw"])
+    assert "dersens.mechanism" in loaded
+    unused = {"dersens.analyzer", "dersens.sqlfront", "dersens.exprs", "dersens.norms",
+              "dersens.cli", "numpy"}
+    assert unused & loaded == set()

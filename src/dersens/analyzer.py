@@ -16,7 +16,9 @@ quantifies over.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from dersens import exprs as ex
@@ -133,28 +135,12 @@ class SensitivityPlan:
 # ---------------------------------------------------------------------------
 
 
-def _constant(node: ScalarExpr, e: SqlExpr) -> float | None:
-    """The value of `node`, lowered from `e`, when `e` reads no column (nan
-    where it is undefined); None when it reads one."""
-    return None if any(sf._walk_refs(e)) else _value(node)
-
-
 def _value(node: ScalarExpr) -> float:
     """The value of a node that reads no column, nan where it is undefined."""
     try:
         return ex.eval_scalar(node, {})
     except ex.EvalError:
         return math.nan
-
-
-def _defined(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
-    """`node`, refused when `e` reads no column and has no finite value:
-    `run` would refuse it on every database.  A finite constant stays a
-    node, printed as it is written."""
-    value = _constant(node, e)
-    if value is not None and not math.isfinite(value):
-        raise SchemaError(f"constant {sf.print_expr(e)} overflows or is undefined")
-    return node
 
 
 def _reads_column(node: ScalarExpr) -> bool:
@@ -174,10 +160,12 @@ def _constant_operands(node: ScalarExpr, kind: type) -> list[ScalarExpr]:
 
 
 def _folded(node: ScalarExpr, e: SqlExpr) -> ScalarExpr:
-    """`node`, lowered from the `+`, `-`, `*` or `/` node `e`, refused when
-    the constant operands of the sum or product it heads (a quotient by a
-    constant is a product) have no finite sum or product: `run` would then
-    refuse the query, or not, by the values of the other operands."""
+    """`node`, lowered from the operator node `e`, refused when its constant
+    part has no finite value: `run` would then refuse the query on every
+    database, or not, by the values of the other operands.  The constant
+    part of a sum or product is the sum or product of the operands of the
+    chain it heads that read no column (a quotient by a constant is a
+    product); that of any other node reading no column is the node."""
     kind = Sum if isinstance(node, Sum) else Prod
     operands = _constant_operands(node, kind)
     if operands and not math.isfinite(_value(kind(tuple(operands)))):
@@ -209,7 +197,7 @@ class _Lowerer:
             if e.op == "^":
                 if not isinstance(e.rhs, Number):
                     raise SchemaError("exponent must be a numeric literal")
-                return _defined(Power(lhs, e.rhs.value), e)
+                return _folded(Power(lhs, e.rhs.value), e)
             rhs = self.scalar(e.rhs)
             fold = {"+": add, "-": sub, "*": mul}.get(e.op)
             if fold is not None:
@@ -221,19 +209,16 @@ class _Lowerer:
                         "a denominator must read only public columns; rewrite the "
                         "query so it does not divide by " + ", ".join(sorted(den_vars))
                     )
-                if _constant(rhs, e.rhs) == 0.0:
-                    raise SchemaError(f"{sf.print_expr(e)} divides by a constant 0: it overflows "
-                                      "or is undefined on every row")
-                return _folded(_defined(Div(lhs, rhs), e), e)
+                return _folded(Div(lhs, rhs), e)
         if isinstance(e, FuncCall):
             if e.name == "abs" and len(e.args) == 1:
                 return abs_expr(self.scalar(e.args[0]))
             if e.name == "exp" and len(e.args) == 1:
-                return _defined(Exp(1.0, self.scalar(e.args[0])), e)
+                return _folded(Exp(1.0, self.scalar(e.args[0])), e)
             if e.name == "ln" and len(e.args) == 1:
-                return _defined(Ln(self.scalar(e.args[0])), e)
+                return _folded(Ln(self.scalar(e.args[0])), e)
             if e.name == "sqrt" and len(e.args) == 1:
-                return _defined(Power(self.scalar(e.args[0]), 0.5), e)
+                return _folded(Power(self.scalar(e.args[0]), 0.5), e)
             if e.name == "least" and e.args:
                 return Min(tuple(self.scalar(a) for a in e.args))
             if e.name == "greatest" and e.args:
@@ -273,9 +258,10 @@ class _Lowerer:
                 for x in parts[1:]:
                     out = add(out, x)
                 return out
-            out = parts[0]
-            for x in parts[1:]:
-                out = sub(add(out, x), mul(out, x))
+            # x1 + (1 - x1) OR(x2 ... xn): each disjunct is read at one level
+            out = parts[-1]
+            for x in reversed(parts[:-1]):
+                out = add(x, mul(sub(ex.ONE, x), out))
             return out
         raise SchemaError(f"cannot lower predicate {type(p).__name__}")
 
@@ -654,15 +640,10 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
     twice = memo.twice
     if not twice:
         return None
-    rows, taken = names.rows, names.taken
+    rows = names.rows
     # the next free column names tK and cK, and their references
-    kt, kc, tname, cname = 0, 0, "t0", "c0"
-    while tname in taken:
-        kt += 1
-        tname = f"t{kt}"
-    while cname in taken:
-        kc += 1
-        cname = f"c{kc}"
+    tnames, cnames = _fresh("t", names.taken), _fresh("c", names.taken)
+    tname, cname = next(tnames), next(cnames)
     tref, cref = f"{rows}.{tname}", f"{rows}.{cname}"
     # a column costs its text, " AS ", its name and ", ", and each read its
     # reference.  A text requested fewer times than that pays for is not
@@ -691,11 +672,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
                 outer = tref.join(parts)
                 items.append(f"{text} AS {tname}")
                 named = True
-                kt += 1
-                tname = f"t{kt}"
-                while tname in taken:
-                    kt += 1
-                    tname = f"t{kt}"
+                tname = next(tnames)
                 tref = f"{rows}.{tname}"
                 cost = len(tname) + 6
                 continue
@@ -705,11 +682,7 @@ def _share(memo: _Memo, outer: str, names: "_Names") -> tuple[str, list[str]] | 
         if put is not outer:
             outer = put
             items.append(f"{text} AS {cname}")
-            kc += 1
-            cname = f"c{kc}"
-            while cname in taken:
-                kc += 1
-                cname = f"c{kc}"
+            cname = next(cnames)
             cref = f"{rows}.{cname}"
     return (outer, items) if named else None
 
@@ -728,14 +701,17 @@ class _Names:
             taken.update(map(str.lower, (alias, table, f"{table}_sensRows")))
             taken.update(map(str.lower, tables[table].types))
         self.taken = taken
-        fresh = []
-        for base in ("r", "g", "sub", "sdsg"):
-            name, k = base, 0
-            while name in taken:
-                k += 1
-                name = f"{base}{k}"
-            fresh.append(name)
-        self.rows, self.group, self.sub, self.sdsg = fresh
+        self.rows, self.group, self.sub, self.sdsg = (
+            next(_fresh(base, taken, bare=True)) for base in ("r", "g", "sub", "sdsg"))
+
+
+def _fresh(base: str, taken: set[str], bare: bool = False) -> Iterator[str]:
+    """The names `base`K, K = 0, 1, ..., that are not in `taken`, in order;
+    with `bare`, `base` itself in place of `base`0."""
+    for k in itertools.count():
+        name = base if bare and k == 0 else f"{base}{k}"
+        if name not in taken:
+            yield name
 
 
 def _public_conjuncts(ctx: AnalysisContext) -> list[str]:

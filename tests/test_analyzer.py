@@ -114,6 +114,81 @@ def test_public_atom_in_mixed_or_becomes_indicator():
     assert eval_scalar(sig, {"t.x": 0, key: 0.0}) == 0.0
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_an_or_chain_lowers_linearly(n, monkeypatch):
+    # x1 + (1 - x1) OR(x2 ... xn) reads each disjunct at one level, so the
+    # analysis walks each once or twice; a rule that reads the running
+    # value twice per disjunct walks it 2^n times
+    calls = 0
+    analyze = ex.analyze
+
+    def counted(e, env):
+        nonlocal calls
+        calls += 1
+        return analyze(e, env)
+
+    monkeypatch.setattr(ex, "analyze", counted)
+    where = " or ".join(f"lineitem.l_shipdateG < {100.5 + k}" for k in range(n))
+    _, plan = _plan_for(f"select sum(lineitem.l_quantity) from lineitem where {where}",
+                        LINEITEM_SCHEMA, PlanParams(alpha=0.01))
+    assert calls <= 8 * n
+    if n == 16:
+        assert sum(map(len, emit_sql(plan))) < 20_000
+
+
+def _left_nested_or(lower_pred):
+    """`_Lowerer.lower_pred` with a non-exclusive OR lowered by inclusion
+    and exclusion from the left, (x1 + x2 - x1 x2) then on with x3, ..."""
+    def lower(self, p):
+        if (isinstance(p, sf.BoolOp) and p.op == "or"
+                and not (p.exclusive or self.params.or_as_xor)):
+            parts = [self.lower_pred(a) for a in p.args]
+            out = parts[0]
+            for x in parts[1:]:
+                out = ex.sub(ex.add(out, x), ex.mul(out, x))
+            return out
+        return lower_pred(self, p)
+    return lower
+
+
+def _random_or_filter(rng):
+    """An OR of 2 to 5 disjuncts over lineitem, each a comparison, some
+    negated, one in four public; the whole OR negated one time in four."""
+    ops = ["<", "<=", ">", ">=", "=", "<>"]
+    disjuncts = []
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.25:
+            atom = f"lineitem.l_returnflag = '{rng.choice('RN')}'"
+        else:
+            col, lo, hi = rng.choice([("l_shipdateG", 0, 400), ("l_commitdateG", 0, 400),
+                                      ("l_quantity", 0, 50), ("l_discount", 0.0, 0.1)])
+            atom = f"lineitem.{col} {rng.choice(ops)} {rng.uniform(lo, hi):.3f}"
+        disjuncts.append(f"not ({atom})" if rng.random() < 0.3 else atom)
+    where = " or ".join(disjuncts)
+    return f"not ({where})" if rng.random() < 0.25 else where
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_an_or_lowers_to_the_bound_of_the_left_nested_rule(seed, tmp_path, monkeypatch):
+    # under either nesting 1 + ubf multiplies across the disjuncts and
+    # ds / (1 + ubf) adds, so the bound is the same up to rounding
+    rng = random.Random(seed)
+    schema = parse_schema(TPCH_MINI_SCHEMA)
+    db = _random_database(schema, tmp_path, seed=seed)
+    for _ in range(4):
+        agg = rng.choice(["sum(lineitem.l_quantity)", "count(*)"])
+        ctx = validate(parse_query(f"select {agg} from lineitem where {_random_or_filter(rng)}"),
+                       schema)
+        params = PlanParams(beta=0.1, alpha=rng.choice([0.1, 1.0]))
+        plan = build_plan(ctx, params)
+        with monkeypatch.context() as m:
+            m.setattr(an._Lowerer, "lower_pred", _left_nested_or(an._Lowerer.lower_pred))
+            reference = build_plan(ctx, params)
+        assert plan.beta_achieved == reference.beta_achieved
+        assert eng.run_sensitivity(plan, db)[0] == pytest.approx(
+            eng.run_sensitivity(reference, db)[0], rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # aggregation lowering
 # ---------------------------------------------------------------------------
@@ -766,9 +841,12 @@ def test_the_names_a_statement_adds_are_none_of_the_querys(sql, tmp_path):
 
 
 def test_a_column_whose_name_begins_another_is_read_through_its_own_column(tmp_path, monkeypatch):
-    # t.a is put in after t.ab, so that it does not take the start of t.ab
+    # t.a is put in after t.ab, so that it does not take the start of t.ab.
+    # The OR's first two disjuncts are each printed twice, which is what
+    # makes the statement read an inner select.
     schema = parse_schema("table t\ncol a real\ncol ab real\ncol w real\nrows lp 1.0\nnorm lp 1.0 ab a w\n")
-    ctx = validate(parse_query("select sum(t.a * t.ab) from t where t.w > 1.5 or t.w < -1.5"), schema)
+    ctx = validate(parse_query(
+        "select sum(t.a * t.ab) from t where t.w > 1.5 or t.w < -1.5 or t.w > 9.5"), schema)
     plan = build_plan(ctx, PlanParams(beta=0.1, alpha=1.0))
     db = _random_database(schema, tmp_path, seed=7)
     con = strict_sqlite(db)

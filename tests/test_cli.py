@@ -556,11 +556,14 @@ def test_a_refusal_names_only_remedies_the_tool_takes(bench_data, tmp_path, caps
     "sum(lineitem.l_quantity + 1e308 + 1e308) from lineitem",
     "sum(lineitem.l_quantity * exp(700) / 1e-10) from lineitem",
     "sum(lineitem.l_quantity / 1e-310 * exp(700)) from lineitem",
+    "sum(exp(ln(0 * lineitem.l_quantity))) from lineitem",
+    "sum(sqrt(0 - 1 + 0 * lineitem.l_quantity)) from lineitem",
 ])
 def test_a_non_finite_constant_exits_1(bench_data, tmp_path, capsys, text, command):
     # a literal beyond the doubles is a parse error, constant operands that
     # overflow together a schema error (each exp(700) is finite, their
-    # product is not, nor is exp(700) over 1e-10), a power whose smooth
+    # product is not, nor is exp(700) over 1e-10; 0 * l_quantity reads no
+    # column once lowered, so ln of it is undefined), a power whose smooth
     # bound overflows an analysis error: none reaches the SQL printer or a
     # traceback
     query = _write(tmp_path / "q.sql", f"select {text};")
